@@ -161,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add(p, name, "--mode", default="auto",
              help="ia, ra, or auto (default auto)")
         _add(p, name, "--method", default="skeletoid",
-             help="skeletoid, uniformization_seq, or uniformization_global")
+             help="skeletoid or uniformization_global")
         _add(p, name, "--qbar",
              help="global rate floor for uniformization_global")
 
@@ -357,6 +357,17 @@ def _model(cfg: dict):
         raise _UsageError(str(exc)) from exc
 
 
+def _dataset(cfg: dict, net):
+    """The --data dataset, refused when its sidecar names another model."""
+    dataset = read_dataset(_require(cfg, "data"))
+    if dataset.model not in ("custom", net.name):
+        raise _UsageError(
+            f"{cfg['data']} holds data from model {dataset.model!r}, "
+            f"not --model {net.name!r}"
+        )
+    return dataset
+
+
 def _build_prior(cfg: dict, dim: int) -> Prior:
     kind = str(cfg.get("prior", "lognormal"))
     if kind == "lognormal":
@@ -442,7 +453,7 @@ def _cmd_simulate(cfg: dict, provided: set) -> int:
 
 def _cmd_tune(cfg: dict, provided: set) -> int:
     net = _model(cfg)
-    dataset = read_dataset(_require(cfg, "data"))
+    dataset = _dataset(cfg, net)
     theta_init = np.asarray(_floats(_require(cfg, "theta_init")))
     out = Path(_require(cfg, "out"))
     seed = _as_int(cfg.get("seed", 0))
@@ -486,7 +497,7 @@ def _cmd_tune(cfg: dict, provided: set) -> int:
 
 def _cmd_sample(cfg: dict, provided: set) -> int:
     net = _model(cfg)
-    dataset = read_dataset(_require(cfg, "data"))
+    dataset = _dataset(cfg, net)
     out = Path(_require(cfg, "out"))
     seed = _as_int(cfg.get("seed", 0))
     n_samples = _as_int(cfg.get("n", 1000))
@@ -563,7 +574,7 @@ def _cmd_bench(cfg: dict, provided: set) -> int:
 
 def _cmd_truncstudy(cfg: dict, provided: set) -> int:
     net = _model(cfg)
-    dataset = read_dataset(_require(cfg, "data"))
+    dataset = _dataset(cfg, net)
     theta = _floats(_require(cfg, "theta"))
     out = Path(_require(cfg, "out"))
     rows = truncation_study(

@@ -48,7 +48,7 @@ __all__ = [
 ]
 
 # hard ceiling on the accuracy exponent: approximations never run below
-# a requested error of 10^-14, and the fallback retries at exactly this value
+# a requested error of 10^-14
 ACCURACY_CAP = 14.0
 
 # a decrease between consecutive sequence values is forgiven (clipped to a
@@ -116,6 +116,27 @@ def _check_step(lo, hi, lo_idx, hi_idx, scale="linear"):
     )
 
 
+def _telescope(value, offset: int, n_draw: int, scale: str = "linear"):
+    """The values at offset, offset+N and offset+N+1, in evaluation order.
+
+    value maps an integer index to a value; each index is evaluated at most
+    once. A within-slack decrease is clipped to a tie, a larger one raises
+    MonotonicityError. Returns (a0, a_lo, a_hi, evaluations).
+    """
+    cache = {}
+
+    def at(i):
+        if i not in cache:
+            cache[i] = float(value(i))
+        return cache[i]
+
+    lo, hi = offset + n_draw, offset + n_draw + 1
+    a0 = at(offset)
+    a_lo = _check_step(a0, at(lo), offset, lo, scale)
+    a_hi = _check_step(a_lo, at(hi), lo, hi, scale)
+    return a0, a_lo, a_hi, len(cache)
+
+
 def oste(seq, offset: int, law: GeometricLaw, rng=None, n_draw=None) -> OsteResult:
     """One debiased draw from a nondecreasing sequence.
 
@@ -130,20 +151,9 @@ def oste(seq, offset: int, law: GeometricLaw, rng=None, n_draw=None) -> OsteResu
     n_draw = int(n_draw)
     if n_draw < 0:
         raise ValueError("n_draw must be nonnegative")
-    cache = {}
-
-    def value(i):
-        if i not in cache:
-            cache[i] = float(seq(i))
-        return cache[i]
-
-    a0 = value(offset)
-    a_lo = value(offset + n_draw)
-    a_lo = _check_step(a0, a_lo, offset, offset + n_draw)
-    a_hi = value(offset + n_draw + 1)
-    a_hi = _check_step(a_lo, a_hi, offset + n_draw, offset + n_draw + 1)
+    a0, a_lo, a_hi, evaluations = _telescope(seq, offset, n_draw)
     z = a0 + (a_hi - a_lo) / law.mass(n_draw)
-    return OsteResult(z=z, n_draw=n_draw, evaluations=len(cache))
+    return OsteResult(z=z, n_draw=n_draw, evaluations=evaluations)
 
 
 def oste_variance(diffs, law: GeometricLaw, a_offset: float = 0.0,
@@ -223,10 +233,11 @@ class EstimatorConfig:
     """How likelihood estimates are formed.
 
     mode: 'ia' (independent draw per observation), 'ra' (one draw on the
-    merged truncation), or 'auto' (RA when the merged seed set is at most
-    ra_factor times the summed per-observation seed sets). method selects the
-    approximation family; uniformization_global additionally needs
-    q_bar_global, a uniform lower bound on every diagonal the run will see.
+    merged truncation), or 'auto' (RA when the merged seed set is at most a
+    third of the summed per-observation seed sets). method selects the
+    approximation family, 'skeletoid' or 'uniformization_global'; the latter
+    needs q_bar_global, a uniform lower bound on every diagonal the run will
+    see, so that partial sums stay nondecreasing across truncations.
     Per-observation sequences/laws override the shared ones in IA mode.
     """
 
@@ -237,13 +248,11 @@ class EstimatorConfig:
     sequences: tuple | None = None
     laws: tuple | None = None
     q_bar_global: float | None = None
-    ra_factor: float = 1.0 / 3.0
 
     def __post_init__(self):
         if self.mode not in ("ia", "ra", "auto"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.method not in ("skeletoid", "uniformization_seq",
-                               "uniformization_global"):
+        if self.method not in ("skeletoid", "uniformization_global"):
             raise ValueError(f"unknown method {self.method!r}")
         if self.method == "uniformization_global":
             q = self.q_bar_global
@@ -285,7 +294,6 @@ class LikelihoodEstimator:
         if self.config.mode == "auto":
             use_ra = ra_rule_of_thumb(
                 [len(b) for b in bases], len(self.merged_ladder.base),
-                self.config.ra_factor,
             )
             self.mode = "ra" if use_ra else "ia"
         else:
@@ -310,18 +318,9 @@ class LikelihoodEstimator:
     def _plan(self, trmat, dt: float, k: float):
         """Method dispatch: (base method, s, q_bar argument)."""
         eps = 10.0 ** (-float(k))
-        method = self.config.method
-        if method == "skeletoid":
+        if self.config.method == "skeletoid":
             return "skeletoid", select_s_skeletoid(trmat.q_bar * dt, eps), None
-        if method == "uniformization_global":
-            q_bar = self.config.q_bar_global
-            if q_bar > trmat.q_bar + 1e-12 * max(1.0, abs(trmat.q_bar)):
-                raise ValueError(
-                    f"global q_bar {q_bar} does not dominate the truncation's "
-                    f"exit rates (min diagonal {trmat.q_bar})"
-                )
-            return "uniformization", select_s_uniformization(-q_bar * dt, eps), q_bar
-        q_bar = trmat.q_bar
+        q_bar = self.config.q_bar_global
         return "uniformization", select_s_uniformization(-q_bar * dt, eps), q_bar
 
     def _log_value(self, ladder, obs_list, theta, r: int, k: float,
@@ -357,51 +356,12 @@ class LikelihoodEstimator:
                   theta, rng, meter=None) -> float:
         n_draw = law.sample(rng)
         mat_cache: dict = {}
-        k_used = {}
-        log_vals = {}
 
-        def evaluate(n):
-            k = k_used.setdefault(n, seq.accuracy(n))
-            key = (seq.level(n), round(k, 12))
-            if key not in log_vals:
-                log_vals[key] = self._log_value(
-                    ladder, obs_list, theta, seq.level(n), k, mat_cache, meter
-                )
-            return log_vals[key]
+        def log_value(n):
+            return self._log_value(ladder, obs_list, theta, seq.level(n),
+                                   seq.accuracy(n), mat_cache, meter)
 
-        def bump(n):
-            k_used[n] = ACCURACY_CAP
-            key = (seq.level(n), round(ACCURACY_CAP, 12))
-            if key not in log_vals:
-                log_vals[key] = self._log_value(
-                    ladder, obs_list, theta, seq.level(n), ACCURACY_CAP, mat_cache,
-                    meter,
-                )
-            return log_vals[key]
-
-        def ordered_pair(lo, hi, lo_n, hi_n):
-            try:
-                return lo, _check_step(lo, hi, lo_n, hi_n, scale="log")
-            except MonotonicityError:
-                # sequential uniformization is not monotone across truncation
-                # growth; retry the offending pair at the accuracy cap
-                if self.config.method != "uniformization_seq":
-                    raise
-                lo2, hi2 = bump(lo_n), bump(hi_n)
-                return lo2, _check_step(lo2, hi2, lo_n, hi_n, scale="log")
-
-        l0 = evaluate(0)
-        if n_draw == 0:
-            l_lo = l0
-        else:
-            l_lo = evaluate(n_draw)
-            l0, l_lo = ordered_pair(l0, l_lo, 0, n_draw)
-        l_hi = evaluate(n_draw + 1)
-        l_lo, l_hi = ordered_pair(l_lo, l_hi, n_draw, n_draw + 1)
-        if n_draw == 0:
-            # index 0 is the lower member of that pair; a bump there must
-            # carry into the baseline or the combine sees a stale value
-            l0 = l_lo
+        l0, l_lo, l_hi, _ = _telescope(log_value, 0, n_draw, scale="log")
         return stable_log_combine(l0, l_lo, l_hi, law.mass(n_draw))
 
     def ia_estimate(self, i: int, theta, rng, meter=None) -> float:

@@ -17,7 +17,6 @@ only selected rows, with a FLOP meter counting matrix-multiplication work.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,7 +24,6 @@ import scipy.special
 
 __all__ = [
     "FlopMeter",
-    "ExpmRequest",
     "poisson_quantile",
     "select_s_uniformization",
     "select_s_skeletoid",
@@ -57,9 +55,6 @@ class FlopMeter:
     def __init__(self):
         self.flops = 0
 
-    def add(self, n: int):
-        self.flops += int(n)
-
     def add_dense_square(self, b: int):
         self.flops += 2 * b * b * b
 
@@ -72,22 +67,6 @@ class FlopMeter:
     @property
     def gflops(self) -> float:
         return self.flops / 1e9
-
-
-@dataclass(frozen=True)
-class ExpmRequest:
-    """What to compute: exp(tQ) rows at a target accuracy.
-
-    accuracy_k means a requested truncation-free error of 10**-accuracy_k.
-    rows is None for the full matrix; targets optionally names (row, col)
-    pairs of interest for callers that extract single entries.
-    """
-
-    t: float
-    accuracy_k: float
-    method: str = "skeletoid"
-    rows: tuple | None = None
-    targets: tuple | None = None
 
 
 def _parts(Q, q_bar=None):
@@ -314,31 +293,8 @@ def uniformization(Q, t: float, s: int, meter: FlopMeter | None = None,
     q_bar defaults to the smallest diagonal entry of Q; passing a more
     negative global value keeps partial sums comparable across truncations.
     """
-    mat, diag, q_bar = _parts(Q, q_bar)
-    _check_q_bar(diag, q_bar)
-    b = len(diag)
-    if s < 0:
-        raise ValueError("s must be nonnegative")
-    if q_bar == 0.0:
-        return np.eye(b)
-    lam = -q_bar * t
-    dense = not sp.issparse(mat)
-    if dense:
-        P = np.eye(b) + mat / (-q_bar)
-    else:
-        P = (sp.eye(b, format="csr") + mat.multiply(1.0 / (-q_bar))).tocsr()
-    series = _ScaledSeries((b, b), lam)
-    term = np.eye(b)
-    series.add(term)
-    for _ in range(s):
-        term = term @ P
-        if meter is not None:
-            if dense:
-                meter.add_dense_square(b)
-            else:
-                meter.add_sparse_pass(b, P.nnz)
-        series.add(term)
-    return series.value()
+    b = _parts(Q)[1].size
+    return rows_action("uniformization", Q, t, s, np.arange(b), meter, q_bar)
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +302,8 @@ def uniformization(Q, t: float, s: int, meter: FlopMeter | None = None,
 
 
 def rows_action(method: str, Q, t: float, s: int, rows,
-                meter: FlopMeter | None = None, q_bar: float | None = None,
-                beta: float = 0.1) -> np.ndarray:
+                meter: FlopMeter | None = None,
+                q_bar: float | None = None) -> np.ndarray:
     """Selected rows of the order-s approximation to exp(tQ).
 
     Returns an (m, b) block, rows in the order given. The uniformization
@@ -362,9 +318,11 @@ def rows_action(method: str, Q, t: float, s: int, rows,
         raise ValueError("rows must be a nonempty 1-D index list")
     if rows.min() < 0 or rows.max() >= b:
         raise ValueError("row index out of range")
+    if s < 0:
+        raise ValueError("s must be nonnegative")
     m = rows.size
 
-    if method.startswith("uniformization"):
+    if method == "uniformization":
         _check_q_bar(diag, q_bar)
         if q_bar == 0.0:
             return np.eye(b)[rows]
@@ -389,7 +347,7 @@ def rows_action(method: str, Q, t: float, s: int, rows,
         return series.value()
 
     if method == "skeletoid":
-        k1, k2 = skeletoid_split(s, b, m, beta)
+        k1, k2 = skeletoid_split(s, b, m)
         delta = t / float(2**s)
         B = _bridge_increment(mat, diag, delta)
         for _ in range(k1):

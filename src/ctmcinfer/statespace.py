@@ -77,16 +77,13 @@ def default_directions(n_species: int) -> np.ndarray:
     return np.asarray(dirs)
 
 
-def grow(trunc: Truncation, net: ReactionNetwork, directions=None) -> Truncation:
+def grow(trunc: Truncation, net: ReactionNetwork) -> Truncation:
     """One growth step: append in-bounds neighbors of every current state.
 
     New states appear in parent-state order, then direction order, so the
     parent truncation is an index prefix of the result.
     """
-    if directions is None:
-        directions = default_directions(net.n_species)
-    else:
-        directions = np.asarray(directions, dtype=np.int64)
+    directions = default_directions(net.n_species)
     lo = np.asarray(net.lower_bounds)
     hi = np.asarray(net.upper_bounds, dtype=float)
     out = list(trunc.states)
@@ -125,9 +122,8 @@ class TruncationLadder:
     safe; growth itself is serialized by a lock.
     """
 
-    def __init__(self, base: Truncation, net: ReactionNetwork, directions=None):
+    def __init__(self, base: Truncation, net: ReactionNetwork):
         self.net = net
-        self.directions = directions
         self._levels = [base]
         self._lock = threading.Lock()
 
@@ -140,7 +136,7 @@ class TruncationLadder:
             return self._levels[r]
         with self._lock:
             while len(self._levels) <= r:
-                self._levels.append(grow(self._levels[-1], self.net, self.directions))
+                self._levels.append(grow(self._levels[-1], self.net))
         return self._levels[r]
 
 

@@ -1,4 +1,4 @@
-"""Ten release-gate checks, each printing a single PASS/FAIL summary line.
+"""Eleven release-gate checks, each printing a single PASS/FAIL summary line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines. Every check is seeded, so a pass is reproducible.
@@ -467,3 +467,48 @@ def test_10_stable_log_arithmetic():
         worst = max(worst, abs(got - _mp_combine(a0, alo, ahi, alpha)))
     _verdict(10, "stable log arithmetic", worst <= 1e-12,
              f"max log-scale gap {worst:.2e}", t0, 10)
+
+
+# ---------------------------------------------------------------------------
+# 11. the composed estimator is unbiased on a chain no truncation contains,
+#     so the telescope draw, the ladder and the approximation all take part
+
+
+def test_11_composed_estimator_unbiased():
+    t0 = time.perf_counter()
+    net = builtin_model("mmc", c=2)
+    theta = np.array([1.5, 1.0])
+    data = sample_dataset(net, theta, (0,), np.arange(5.0),
+                          np.random.default_rng(5), seed=5)
+    # reference: exact transition probabilities on 80 states, far beyond
+    # any queue length the chain reaches within one time unit of these data
+    full = Truncation(states=tuple((i,) for i in range(80)))
+    Q = assemble(net, full, theta).to_dense()
+    reference = 1.0
+    for x_from, x_to, dt in data.intervals():
+        reference *= oracle_expm(Q, dt)[full.index_of(x_from),
+                                         full.index_of(x_to)]
+
+    seq = JointSequence(0, 1.0, 1.0)
+    n_draws = 2000
+    ok = True
+    parts = []
+    for method in ("skeletoid", "uniformization_global"):
+        for mode in ("ra", "ia"):
+            cfg = EstimatorConfig(mode=mode, method=method, sequence=seq,
+                                  law=GeometricLaw(0.5), q_bar_global=-40.0)
+            est = LikelihoodEstimator(net, data, cfg)
+            rng = np.random.default_rng(1)
+            draws = np.exp([est.log_estimate(theta, rng)
+                            for _ in range(n_draws)])
+            se = float(draws.std(ddof=1)) / math.sqrt(n_draws)
+            dev = (float(draws.mean()) - reference) / se
+            # the offset value must sit well below the limit, or a biased
+            # shortcut that stops at the offset would pass as well
+            at_offset = math.exp(est.deterministic_log_likelihood(
+                theta, seq.level(0), seq.accuracy(0)))
+            ratio = at_offset / reference
+            ok = (ok and not np.isnan(draws).any() and abs(dev) <= 3.0
+                  and ratio < 0.5)
+            parts.append(f"{method}/{mode} {dev:+.2f}se offset {ratio:.3f}")
+    _verdict(11, "composed estimator unbiased", ok, ", ".join(parts), t0, 60)

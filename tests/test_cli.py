@@ -121,6 +121,14 @@ def test_out_of_range_observation_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_dataset_from_another_model_exits_2(tmp_path, capsys):
+    data = _simulate(tmp_path)
+    for command in ("tune", "sample", "truncstudy"):
+        rc = main([command, "--model", "schloegl_bd", "--data", str(data)])
+        assert rc == 2
+        assert "from model 'mmc'" in capsys.readouterr().err
+
+
 def test_global_uniformization_requires_qbar(tmp_path, capsys):
     data = _simulate(tmp_path)
     rc = main(["sample", *QUEUE_FLAGS, "--data", str(data),

@@ -342,9 +342,7 @@ def _contained_setup():
     return net, data, theta, log_true
 
 
-@pytest.mark.parametrize("method", [
-    "skeletoid", "uniformization_seq", "uniformization_global",
-])
+@pytest.mark.parametrize("method", ["skeletoid", "uniformization_global"])
 def test_estimates_match_oracle_when_chain_is_contained(method):
     # the ladder saturates at the 4 reachable states, so every sequence value
     # equals the exact likelihood and each debiased draw must reproduce it
@@ -397,7 +395,7 @@ def test_ia_estimates_are_per_observation():
 
 
 # ---------------------------------------------------------------------------
-# fallback when sequential uniformization breaks monotonicity
+# monotonicity violations surface instead of being retried
 
 
 def _crafted_estimator(method):
@@ -411,21 +409,15 @@ def _crafted_estimator(method):
                               EstimatorConfig(**cfg_kwargs))
 
     def crafted(ladder, obs_list, theta, r, k, mat_cache, meter=None):
-        # non-monotone at the requested accuracy, monotone at the cap
+        # non-monotone at the requested accuracy, monotone at the cap: a
+        # retry at the cap for the drawn pair alone would hide the violation
+        # and make the telescoped sequence depend on the draw
         if k >= ACCURACY_CAP:
             return math.log(0.45) if r == 0 else math.log(0.46)
         return math.log(0.50) if r == 0 else math.log(0.40)
 
     est._log_value = crafted
     return est
-
-
-def test_sequential_uniformization_retries_at_the_accuracy_cap():
-    est = _crafted_estimator("uniformization_seq")
-    got = est.log_estimate([1.0, 1.0], np.random.default_rng(0))
-    # after the bump both levels are re-evaluated at the cap:
-    # z = 0.45 + (0.46 - 0.45)/1 = 0.46
-    assert got == pytest.approx(math.log(0.46), rel=1e-12)
 
 
 @pytest.mark.parametrize("method", ["skeletoid", "uniformization_global"])

@@ -222,7 +222,7 @@ def test_skeletoid_split_examples():
 # row-targeted action
 
 
-@pytest.mark.parametrize("method", ["skeletoid", "uniformization_seq"])
+@pytest.mark.parametrize("method", ["skeletoid", "uniformization"])
 def test_rows_action_equals_full_matrix(method):
     net = builtin_model("mmc", c=2)
     tr = Truncation(states=tuple((i,) for i in range(9)))
@@ -243,13 +243,16 @@ def test_rows_action_global_uniformization():
     Q = np.array([[-2.0, 2.0, 0.0], [1.0, -3.0, 2.0], [0.0, 0.5, -0.5]])
     q_bar = -4.0
     full = uniformization(Q, 1.0, 9, q_bar=q_bar)
-    block = rows_action("uniformization_global", Q, 1.0, 9, [1], q_bar=q_bar)
+    block = rows_action("uniformization", Q, 1.0, 9, [1], q_bar=q_bar)
     assert block == pytest.approx(full[[1]], abs=1e-13)
 
 
 def test_rows_action_rejects_bad_rows():
     with pytest.raises(ValueError):
         rows_action("skeletoid", TIED, 1.0, 2, [5])
+    for method in ("skeletoid", "uniformization"):
+        with pytest.raises(ValueError, match="nonnegative"):
+            rows_action(method, TIED, 1.0, -2, [0])
 
 
 def test_rows_action_sparse_metering_cheaper_than_full():
@@ -257,7 +260,7 @@ def test_rows_action_sparse_metering_cheaper_than_full():
     tr = Truncation(states=tuple((i,) for i in range(600)))
     m = assemble(net, tr, [1.0, 1.0])
     meter_rows = FlopMeter()
-    rows_action("uniformization_seq", m, 0.5, 20, [0], meter_rows)
+    rows_action("uniformization", m, 0.5, 20, [0], meter_rows)
     meter_full = FlopMeter()
     uniformization(m, 0.5, 20, meter_full)
     assert meter_rows.flops < meter_full.flops / 10

@@ -211,7 +211,7 @@ def test_tuned_config_text_defaults_and_comments():
 
 
 def test_tuned_config_to_estimator_config():
-    cfg = TunedConfig(mode="ra", method="uniformization_seq",
+    cfg = TunedConfig(mode="ra", method="skeletoid",
                       sequence=JointSequence(2, 5.0, 0.5),
                       law=GeometricLaw(0.6))
     est_cfg = cfg.to_estimator_config()
