@@ -18,6 +18,7 @@ import os
 import platform
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -338,7 +339,7 @@ def argv_from_manifest(manifest: dict, **overrides) -> list:
 
 
 def _require(cfg: dict, key: str):
-    value = cfg.get(key)
+    value = cfg[key]
     if value is None:
         raise _UsageError(f"--{key.replace('_', '-')} is required")
     return value
@@ -347,9 +348,9 @@ def _require(cfg: dict, key: str):
 def _model(cfg: dict):
     name = _require(cfg, "model")
     params = {}
-    if cfg.get("c") is not None:
+    if cfg["c"] is not None:
         params["c"] = _as_int(cfg["c"])
-    if cfg.get("upper_bounds") is not None:
+    if cfg["upper_bounds"] is not None:
         params["upper_bounds"] = tuple(_ints(cfg["upper_bounds"]))
     try:
         return builtin_model(str(name), **params)
@@ -369,13 +370,13 @@ def _dataset(cfg: dict, net):
 
 
 def _build_prior(cfg: dict, dim: int) -> Prior:
-    kind = str(cfg.get("prior", "lognormal"))
+    kind = str(cfg["prior"])
     if kind == "lognormal":
-        marginal = LogNormalPrior(_as_float(cfg.get("prior_mu", 0.0)),
-                                  _as_float(cfg.get("prior_sigma", 1.0)))
+        marginal = LogNormalPrior(_as_float(cfg["prior_mu"]),
+                                  _as_float(cfg["prior_sigma"]))
     elif kind == "gamma":
-        marginal = GammaPrior(_as_float(cfg.get("prior_shape", 1.0)),
-                              _as_float(cfg.get("prior_rate", 1.0)))
+        marginal = GammaPrior(_as_float(cfg["prior_shape"]),
+                              _as_float(cfg["prior_rate"]))
     else:
         raise _UsageError(f"unknown prior {kind!r}")
     return Prior.iid(marginal, dim)
@@ -383,18 +384,11 @@ def _build_prior(cfg: dict, dim: int) -> Prior:
 
 def _estimator_config(cfg: dict, provided: set, tuned=None) -> EstimatorConfig:
     """Estimator settings from tuned file and flags; explicit flags win."""
-    if tuned is not None:
-        base = tuned.to_estimator_config()
-        mode = str(cfg["mode"]) if "mode" in provided else base.mode
-        method = str(cfg["method"]) if "method" in provided else base.method
-        q_bar = base.q_bar_global
-    else:
-        mode = str(cfg.get("mode", "auto"))
-        method = str(cfg.get("method", "skeletoid"))
-        q_bar = None
-        base = None
-    if cfg.get("qbar") is not None:
-        q_bar = _as_float(cfg["qbar"])
+    base = EstimatorConfig() if tuned is None else tuned.to_estimator_config()
+    mode = str(cfg["mode"]) if tuned is None or "mode" in provided else base.mode
+    method = (str(cfg["method"]) if tuned is None or "method" in provided
+              else base.method)
+    q_bar = base.q_bar_global if cfg["qbar"] is None else _as_float(cfg["qbar"])
     if method == "uniformization_global":
         if q_bar is None or not math.isfinite(q_bar) or q_bar >= 0:
             raise _UsageError(
@@ -402,18 +396,13 @@ def _estimator_config(cfg: dict, provided: set, tuned=None) -> EstimatorConfig:
             )
     else:
         q_bar = None
-    if base is not None:
-        return EstimatorConfig(
-            mode=mode, method=method, sequence=base.sequence, law=base.law,
-            sequences=base.sequences, laws=base.laws, q_bar_global=q_bar,
-        )
-    return EstimatorConfig(mode=mode, method=method, q_bar_global=q_bar)
+    return replace(base, mode=mode, method=method, q_bar_global=q_bar)
 
 
 def _schedule(cfg: dict) -> list:
-    if cfg.get("times") is not None:
+    if cfg["times"] is not None:
         return _floats(cfg["times"])
-    if cfg.get("tend") is None or cfg.get("dt") is None:
+    if cfg["tend"] is None or cfg["dt"] is None:
         raise _UsageError("either --times or both --tend and --dt are required")
     tend = _as_float(cfg["tend"])
     dt = _as_float(cfg["dt"])
@@ -439,7 +428,7 @@ def _cmd_simulate(cfg: dict, provided: set) -> int:
     theta = _floats(_require(cfg, "theta"))
     x0 = _ints(_require(cfg, "x0"))
     schedule = _schedule(cfg)
-    seed = _as_int(cfg.get("seed", 0))
+    seed = _as_int(cfg["seed"])
     out = Path(_require(cfg, "out"))
 
     rng = np.random.default_rng(seed)
@@ -456,35 +445,33 @@ def _cmd_tune(cfg: dict, provided: set) -> int:
     dataset = _dataset(cfg, net)
     theta_init = np.asarray(_floats(_require(cfg, "theta_init")))
     out = Path(_require(cfg, "out"))
-    seed = _as_int(cfg.get("seed", 0))
-    eps = _as_float(cfg.get("eps", 1e-8))
+    seed = _as_int(cfg["seed"])
+    eps = _as_float(cfg["eps"])
 
     base_config = _estimator_config(cfg, provided)
     estimator = LikelihoodEstimator(net, dataset, base_config)
     prior = _build_prior(cfg, net.param_dim)
 
-    if _as_bool(cfg.get("no_map", False)):
+    if _as_bool(cfg["no_map"]):
         theta = theta_init
     else:
         theta = map_estimate(estimator, prior, theta_init, eps=eps)
 
-    if _as_bool(cfg.get("grid", False)):
+    if _as_bool(cfg["grid"]):
         v_hat = laplace_covariance(estimator, prior, theta)
         tuned = grid_select(
             net, dataset, prior, theta, v_hat, base_config,
-            n_draws=_as_int(cfg.get("n_draws", 100)),
-            short_run=_as_int(cfg.get("short_run", 200)),
+            n_draws=_as_int(cfg["n_draws"]),
+            short_run=_as_int(cfg["short_run"]),
             seed=seed, eps=eps,
         )
     else:
         tuned = tune_estimator(estimator, theta,
-                               p_min=_as_float(cfg.get("p_min", 0.9)), eps=eps)
+                               p_min=_as_float(cfg["p_min"]), eps=eps)
         noisy = LikelihoodEstimator(net, dataset, tuned.to_estimator_config())
         sigma_zeta = estimate_sigma_zeta(
-            noisy, theta, n_draws=_as_int(cfg.get("n_draws", 100)), seed=seed,
+            noisy, theta, n_draws=_as_int(cfg["n_draws"]), seed=seed,
         )
-        from dataclasses import replace
-
         tuned = replace(tuned, sigma_zeta=sigma_zeta)
 
     with open(out, "w") as fh:
@@ -499,13 +486,13 @@ def _cmd_sample(cfg: dict, provided: set) -> int:
     net = _model(cfg)
     dataset = _dataset(cfg, net)
     out = Path(_require(cfg, "out"))
-    seed = _as_int(cfg.get("seed", 0))
-    n_samples = _as_int(cfg.get("n", 1000))
-    n_chains = _as_int(cfg.get("chains", 1))
-    burnin = _as_float(cfg.get("burnin", 0.1))
+    seed = _as_int(cfg["seed"])
+    n_samples = _as_int(cfg["n"])
+    n_chains = _as_int(cfg["chains"])
+    burnin = _as_float(cfg["burnin"])
 
     tuned = None
-    if cfg.get("tuned_config") is not None:
+    if cfg["tuned_config"] is not None:
         with open(cfg["tuned_config"]) as fh:
             tuned = tuned_config_from_text(fh.read())
     est_config = _estimator_config(cfg, provided, tuned)
@@ -516,13 +503,13 @@ def _cmd_sample(cfg: dict, provided: set) -> int:
             and "proposal_scale" not in provided:
         proposal_cov = np.asarray(tuned.proposal_cov, dtype=float)
     else:
-        proposal_cov = _as_float(cfg.get("proposal_scale", 0.1)) ** 2
+        proposal_cov = _as_float(cfg["proposal_scale"]) ** 2
 
     theta_init = None
-    if cfg.get("theta_init") is not None:
+    if cfg["theta_init"] is not None:
         theta_init = np.asarray(_floats(cfg["theta_init"]))
 
-    threads = cfg.get("threads")
+    threads = cfg["threads"]
     if threads is None:
         threads = os.environ.get("CTMCINFER_THREADS", "1")
     threads = max(1, _as_int(threads))
@@ -551,20 +538,20 @@ def _cmd_sample(cfg: dict, provided: set) -> int:
 
 
 def _cmd_bench(cfg: dict, provided: set) -> int:
-    classes = _strs(cfg.get("classes", ",".join(MATRIX_CLASSES)))
+    classes = _strs(cfg["classes"])
     unknown = set(classes) - set(MATRIX_CLASSES)
     if unknown:
         raise _UsageError(f"unknown matrix classes: {sorted(unknown)}")
     out = Path(_require(cfg, "out"))
     rows = bench_expm(
         classes=classes,
-        dims=_ints(cfg.get("dim", "100")),
-        ts=_floats(cfg.get("t", "1.0")),
-        epsilons=_floats(cfg.get("eps", "1e-2,1e-4,1e-6,1e-8")),
-        reps=_as_int(cfg.get("reps", 3)),
-        seed=_as_int(cfg.get("seed", 0)),
-        methods=tuple(_strs(cfg.get("methods", "skeletoid,uniformization"))),
-        max_row_nnz=_as_int(cfg.get("max_row_nnz", 10)),
+        dims=_ints(cfg["dim"]),
+        ts=_floats(cfg["t"]),
+        epsilons=_floats(cfg["eps"]),
+        reps=_as_int(cfg["reps"]),
+        seed=_as_int(cfg["seed"]),
+        methods=tuple(_strs(cfg["methods"])),
+        max_row_nnz=_as_int(cfg["max_row_nnz"]),
     )
     write_rows_csv(rows, out)
     _write_manifest(out, "bench", cfg)
@@ -579,8 +566,8 @@ def _cmd_truncstudy(cfg: dict, provided: set) -> int:
     out = Path(_require(cfg, "out"))
     rows = truncation_study(
         net, theta, list(dataset.intervals()),
-        k=_as_float(cfg.get("k", 14.0)),
-        r_stop=_as_int(cfg.get("r_stop", 30)),
+        k=_as_float(cfg["k"]),
+        r_stop=_as_int(cfg["r_stop"]),
     )
     write_rows_csv(rows, out)
     _write_manifest(out, "truncstudy", cfg)
@@ -590,7 +577,7 @@ def _cmd_truncstudy(cfg: dict, provided: set) -> int:
 
 def _cmd_diag(cfg: dict, provided: set) -> int:
     paths = _strs(_require(cfg, "trace"))
-    burnin = _as_float(cfg.get("burnin", 0.1))
+    burnin = _as_float(cfg["burnin"])
     rows = []
     for path in paths:
         trace = read_trace(path)
@@ -610,7 +597,7 @@ def _cmd_diag(cfg: dict, provided: set) -> int:
         print(f"{path}: n={row['iterations']} "
               f"accept={row['acceptance_rate']:.3f} ess={row['ess']:.1f} "
               f"gflops={row['gflops']:.3f}")
-    if cfg.get("out") is not None:
+    if cfg["out"] is not None:
         out = Path(cfg["out"])
         write_rows_csv(rows, out)
         _write_manifest(out, "diag", cfg)

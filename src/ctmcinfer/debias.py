@@ -265,9 +265,11 @@ class EstimatorConfig:
 class LikelihoodEstimator:
     """Unbiased transition-likelihood estimates for a dataset under a network.
 
-    Holds one lazily grown truncation ladder per observation plus the merged
-    ladder; ladders persist across calls, assembled matrices do not (they
-    depend on theta, which changes every sampler iteration).
+    Holds one lazily grown truncation ladder per distinct seed truncation
+    plus the merged ladder; ladders persist across calls, assembled matrices
+    do not (they depend on theta, which changes every sampler iteration).
+    Each mode is a list of targets, each one telescoped independently: RA
+    has the single merged target, IA one target per observation.
     """
 
     def __init__(self, net: ReactionNetwork, dataset: Dataset,
@@ -289,7 +291,11 @@ class LikelihoodEstimator:
                 bases.append(seed_truncation(net, x_from, x_to))
             except Exception as exc:
                 raise type(exc)(f"observation {i}: {exc}") from exc
-        self.obs_ladders = [TruncationLadder(b, net) for b in bases]
+        # observations with equal seed truncations share one ladder, so one
+        # matrix cache serves all of them
+        shared: dict = {}
+        self.obs_ladders = [shared.setdefault(b, TruncationLadder(b, net))
+                            for b in bases]
         self.merged_ladder = TruncationLadder(merge(bases), net)
         if self.config.mode == "auto":
             use_ra = ra_rule_of_thumb(
@@ -298,10 +304,19 @@ class LikelihoodEstimator:
             self.mode = "ra" if use_ra else "ia"
         else:
             self.mode = self.config.mode
+        # the keys of the independent telescope draws: None is every
+        # observation on the merged ladder, i is observation i on its own
+        self.targets = [None] if self.mode == "ra" else list(range(len(bases)))
 
     @property
     def n_observations(self) -> int:
         return len(self.observations)
+
+    def _target(self, key: int | None):
+        """(ladder, observation list) of one target key."""
+        if key is None:
+            return self.merged_ladder, self.observations
+        return self.obs_ladders[key], [self.observations[key]]
 
     def sequence_for(self, i: int | None) -> JointSequence:
         if i is not None and self.config.sequences is not None:
@@ -352,10 +367,11 @@ class LikelihoodEstimator:
 
     # -- debiased estimates --------------------------------------------------
 
-    def _debiased(self, ladder, obs_list, seq: JointSequence, law: GeometricLaw,
-                  theta, rng, meter=None) -> float:
+    def _debiased(self, key, theta, rng, mat_cache: dict, meter=None) -> float:
+        """Log of one debiased estimate of a target's probability."""
+        ladder, obs_list = self._target(key)
+        seq, law = self.sequence_for(key), self.law_for(key)
         n_draw = law.sample(rng)
-        mat_cache: dict = {}
 
         def log_value(n):
             return self._log_value(ladder, obs_list, theta, seq.level(n),
@@ -364,29 +380,13 @@ class LikelihoodEstimator:
         l0, l_lo, l_hi, _ = _telescope(log_value, 0, n_draw, scale="log")
         return stable_log_combine(l0, l_lo, l_hi, law.mass(n_draw))
 
-    def ia_estimate(self, i: int, theta, rng, meter=None) -> float:
-        """Log of one debiased estimate of observation i's transition probability."""
-        theta = self.net.validate_theta(theta)
-        return self._debiased(
-            self.obs_ladders[i], [self.observations[i]],
-            self.sequence_for(i), self.law_for(i), theta, rng, meter,
-        )
-
-    def ra_estimate(self, theta, rng, meter=None) -> float:
-        """Log of one debiased estimate of the full likelihood (merged run)."""
-        theta = self.net.validate_theta(theta)
-        return self._debiased(
-            self.merged_ladder, self.observations,
-            self.sequence_for(None), self.law_for(None), theta, rng, meter,
-        )
-
     def log_estimate(self, theta, rng, meter=None) -> float:
-        """Log-likelihood estimate in the estimator's mode."""
-        if self.mode == "ra":
-            return self.ra_estimate(theta, rng, meter)
+        """Log-likelihood estimate: one debiased draw per target, summed."""
+        theta = self.net.validate_theta(theta)
+        mat_cache: dict = {}
         total = 0.0
-        for i in range(self.n_observations):
-            total += self.ia_estimate(i, theta, rng, meter)
+        for key in self.targets:
+            total += self._debiased(key, theta, rng, mat_cache, meter)
             if total == -math.inf:
                 break
         return total
@@ -396,15 +396,12 @@ class LikelihoodEstimator:
     def value_fn(self, theta, obs_index: int | None = None, meter=None):
         """f(r, k) -> linear-space approximate value, matrices cached per theta.
 
-        obs_index selects one observation's transition probability; None gives
-        the product over all observations on the merged truncation.
+        obs_index is a target key: one observation's transition probability,
+        or None for the product over all observations on the merged
+        truncation.
         """
         theta = self.net.validate_theta(theta)
-        if obs_index is None:
-            ladder, obs_list = self.merged_ladder, self.observations
-        else:
-            ladder = self.obs_ladders[obs_index]
-            obs_list = [self.observations[obs_index]]
+        ladder, obs_list = self._target(obs_index)
         mat_cache: dict = {}
 
         def f(r: int, k: float) -> float:
@@ -419,13 +416,8 @@ class LikelihoodEstimator:
         """log L at fixed truncation level and accuracy, no debiasing."""
         theta = self.net.validate_theta(theta)
         mat_cache: dict = {}
-        if self.mode == "ra":
-            return self._log_value(
-                self.merged_ladder, self.observations, theta, r, k, mat_cache, meter
-            )
         total = 0.0
-        for i, obs in enumerate(self.observations):
-            total += self._log_value(
-                self.obs_ladders[i], [obs], theta, r, k, mat_cache, meter
-            )
+        for key in self.targets:
+            total += self._log_value(*self._target(key), theta, r, k,
+                                     mat_cache, meter)
         return total

@@ -212,18 +212,17 @@ def truncation_study(net, theta, observations, k: float = ACCURACY_CAP,
                                 [trunc.index_of(x_from)])
             return max(float(block[0, trunc.index_of(x_to)]), 0.0)
 
-        prev = value(0)
-        reference = prev
+        values = [value(0)]
+        reference = values[0]
         r_ref = r_cap
         for r in range(1, r_cap + 1):
-            cur = value(r)
-            if abs(cur - prev) < tol:
-                reference = cur
+            values.append(value(r))
+            if abs(values[r] - values[r - 1]) < tol:
+                reference = values[r]
                 r_ref = r
                 break
-            prev = cur
         for r in range(0, min(r_stop, r_ref) + 1):
-            v = value(r)
+            v = values[r]
             rows.append({
                 "obs_index": idx,
                 "r": r,

@@ -206,17 +206,13 @@ def implicit_square(B: np.ndarray, meter: FlopMeter | None = None) -> np.ndarray
 
 
 def skeletoid(Q, t: float, s: int, meter: FlopMeter | None = None) -> np.ndarray:
-    """Approximate exp(tQ) by squaring S(t / 2^s) s times."""
-    mat, diag, _ = _parts(Q)
-    if s < 0:
-        raise ValueError("s must be nonnegative")
-    delta = t / float(2**s)
-    B = _bridge_increment(mat, diag, delta)
-    for _ in range(s):
-        B = implicit_square(B, meter)
-    M = B
-    M[np.arange(len(diag)), np.arange(len(diag))] += 1.0
-    return M
+    """Approximate exp(tQ) by squaring S(t / 2^s) s times.
+
+    The all-rows case of rows_action, whose cost split then takes every
+    doubling as a dense squaring.
+    """
+    b = _parts(Q)[1].size
+    return rows_action("skeletoid", Q, t, s, np.arange(b), meter)
 
 
 def skeletoid_split(k: int, b: int, m: int, beta: float = 0.1) -> tuple:
@@ -352,9 +348,11 @@ def rows_action(method: str, Q, t: float, s: int, rows,
         B = _bridge_increment(mat, diag, delta)
         for _ in range(k1):
             B = implicit_square(B, meter)
-        block = np.zeros((m, b))
-        block[np.arange(m), rows] = 1.0
-        for _ in range(2**k2):
+        # the first pass from the selector rows needs no product:
+        # e_r (I + B) = e_r + B[r]
+        block = B[rows]
+        block[np.arange(m), rows] += 1.0
+        for _ in range(2**k2 - 1):
             block = block + block @ B
             if meter is not None:
                 meter.add_block_product(m, b)

@@ -240,6 +240,10 @@ class TunedConfig:
     sigma_zeta: float | None = None
     proposal_cov: object = None
     q_bar_global: float | None = None
+    # tuning byproducts, one ConvergenceProfile per estimator target and the
+    # grid stage's candidate list; not part of the configuration itself
+    profiles: list | None = field(default=None, compare=False, repr=False)
+    grid_report: list | None = field(default=None, compare=False, repr=False)
 
     def to_estimator_config(self) -> EstimatorConfig:
         return EstimatorConfig(
@@ -287,32 +291,24 @@ def tune_estimator(estimator: LikelihoodEstimator, theta, p_min: float = 0.9,
     p_min); pass the list returned via TunedConfig.profiles of a prior call.
     """
     theta = estimator.net.validate_theta(theta)
-    cfg = estimator.config
+    seqs, laws, tuned_profiles = [], [], []
+    for j, key in enumerate(estimator.targets):
+        f = estimator.value_fn(theta, key)
+        prof = profiles[j] if profiles else None
+        seq, law, prof = _tune_target(f, p_min, eps, r_explore, sigma_default,
+                                      prof)
+        seqs.append(seq)
+        laws.append(law)
+        tuned_profiles.append(prof)
     if estimator.mode == "ra":
-        f = estimator.value_fn(theta)
-        prof = profiles[0] if profiles else None
-        seq, law, prof = _tune_target(f, p_min, eps, r_explore, sigma_default, prof)
-        tuned = TunedConfig(
-            mode="ra", method=cfg.method, sequence=seq, law=law, p_min=p_min,
-            q_bar_global=cfg.q_bar_global,
-        )
-        tuned_profiles = [prof]
+        fields = {"sequence": seqs[0], "law": laws[0]}
     else:
-        seqs, laws, tuned_profiles = [], [], []
-        for i in range(estimator.n_observations):
-            f = estimator.value_fn(theta, obs_index=i)
-            prof = profiles[i] if profiles else None
-            seq, law, prof = _tune_target(f, p_min, eps, r_explore,
-                                          sigma_default, prof)
-            seqs.append(seq)
-            laws.append(law)
-            tuned_profiles.append(prof)
-        tuned = TunedConfig(
-            mode="ia", method=cfg.method, sequences=tuple(seqs),
-            laws=tuple(laws), p_min=p_min, q_bar_global=cfg.q_bar_global,
-        )
-    object.__setattr__(tuned, "profiles", tuned_profiles)
-    return tuned
+        fields = {"sequences": tuple(seqs), "laws": tuple(laws)}
+    return TunedConfig(
+        mode=estimator.mode, method=estimator.config.method, p_min=p_min,
+        q_bar_global=estimator.config.q_bar_global, profiles=tuned_profiles,
+        **fields,
+    )
 
 
 def estimate_sigma_zeta(estimator: LikelihoodEstimator, theta, n_draws: int = 100,
@@ -358,9 +354,8 @@ def map_estimate(estimator: LikelihoodEstimator, prior: Prior, theta0,
     coordinate over a multiplicative bracket around its current value.
     """
     theta = np.asarray(theta0, dtype=float).copy()
-    f0 = estimator.value_fn(theta) if estimator.mode == "ra" else \
-        estimator.value_fn(theta, obs_index=0)
-    prof = profile(f0, eps=eps, r_explore=r_explore)
+    prof = profile(estimator.value_fn(theta, estimator.targets[0]), eps=eps,
+                   r_explore=r_explore)
     r_eps, k_eps = prof.r_eps, prof.k_eps
 
     def neg_log_post(th):
@@ -393,9 +388,7 @@ def laplace_covariance(estimator: LikelihoodEstimator, prior: Prior, theta,
     """
     theta = np.asarray(theta, dtype=float)
     if r is None or k is None:
-        f0 = estimator.value_fn(theta) if estimator.mode == "ra" else \
-            estimator.value_fn(theta, obs_index=0)
-        prof = profile(f0)
+        prof = profile(estimator.value_fn(theta, estimator.targets[0]))
         r, k = prof.r_eps, prof.k_eps
 
     def logpost(th):
@@ -501,13 +494,10 @@ def grid_select(net, dataset, prior: Prior, theta_map, v_hat,
                 best_choice = (cand, alpha)
 
     cand, alpha = best_choice
-    tuned = replace(
+    return replace(
         cand["tuned"], sigma_zeta=cand["sigma_zeta"],
-        proposal_cov=alpha * v_hat,
+        proposal_cov=alpha * v_hat, grid_report=candidates,
     )
-    object.__setattr__(tuned, "profiles", profiles)
-    object.__setattr__(tuned, "grid_report", candidates)
-    return tuned
 
 
 # ---------------------------------------------------------------------------

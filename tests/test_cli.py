@@ -255,8 +255,8 @@ def test_argv_from_manifest_formats_flags():
     assert argv == ["tune", "--dim", "4,6", "--grid", "--seed", "7"]
 
 
-def test_module_entry_point():
+def test_module_entry_point(package_env):
     res = subprocess.run([sys.executable, "-m", "ctmcinfer.cli", "--help"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=package_env)
     assert res.returncode == 0
     assert "truncstudy" in res.stdout

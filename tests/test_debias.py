@@ -1,6 +1,7 @@
 """Debiased draws from monotone sequences and the likelihood estimators."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
@@ -383,15 +384,45 @@ def test_value_fn_is_nondecreasing_in_both_indices():
     assert all(b >= a - 1e-12 for a, b in zip(vals_k, vals_k[1:]))
 
 
+def _repeating_queue():
+    # unbounded queue; transitions 0->1 and 1->0 each occur twice at equal dt
+    net = builtin_model("mmc", c=1)
+    data = _queue_dataset([[0], [1], [0], [1], [0], [2]], dt=0.7)
+    cfg = EstimatorConfig(mode="ia", sequence=JointSequence(1, 6.0, 0.5),
+                          law=GeometricLaw(0.5))
+    return net, data, cfg
+
+
 def test_ia_estimates_are_per_observation():
-    net, data, theta, _ = _contained_setup()
-    seq = JointSequence(trunc_offset=6, acc_offset=ACCURACY_CAP, slope=0.1)
-    cfg = EstimatorConfig(mode="ia", sequence=seq)
+    # an IA estimate is the in-order sum of one-transition estimates drawn
+    # from the same stream, bit for bit, even where observations share ladders
+    net, data, cfg = _repeating_queue()
     est = LikelihoodEstimator(net, data, cfg)
-    rng = np.random.default_rng(0)
-    parts = [est.ia_estimate(i, theta, rng) for i in range(est.n_observations)]
-    assert len(parts) == 3
-    assert all(p < 0 for p in parts)
+    singles = [
+        LikelihoodEstimator(net, _queue_dataset([list(x_from), list(x_to)], dt),
+                            cfg)
+        for x_from, x_to, dt in est.observations
+    ]
+    theta = np.array([0.8, 0.6])
+    for seed in range(5):
+        rng, rng_parts = np.random.default_rng(seed), np.random.default_rng(seed)
+        total = 0.0
+        for single in singles:
+            total += single.log_estimate(theta, rng_parts)
+        assert est.log_estimate(theta, rng) == total
+        assert rng.bit_generator.state == rng_parts.bit_generator.state
+
+
+def test_equal_seed_truncations_share_a_ladder():
+    net, data, cfg = _repeating_queue()
+    est = LikelihoodEstimator(net, data, cfg)
+    ladders = est.obs_ladders
+    assert ladders[0] is ladders[2]
+    assert ladders[1] is ladders[3]
+    assert len({id(lad) for lad in ladders}) == 3
+    assert est.targets == [0, 1, 2, 3, 4]
+    ra = LikelihoodEstimator(net, data, replace(cfg, mode="ra"))
+    assert ra.targets == [None]
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,10 @@ import scipy.linalg
 
 from ctmcinfer import (
     MATRIX_CLASSES,
+    assemble,
     bench_expm,
     builtin_model,
+    diagnostics,
     ess,
     oracle_expm,
     random_rate_matrix,
@@ -150,6 +152,22 @@ def test_truncation_study_errors_shrink_monotonically():
         assert all(b >= a - 1e-13 for a, b in zip(values, values[1:]))
         assert all(b >= a for a, b in zip(sizes, sizes[1:]))
         assert errors[-1] < errors[0]
+
+
+def test_truncation_study_assembles_each_level_once(monkeypatch):
+    calls = []
+
+    def counted(net, trunc, theta):
+        calls.append(trunc.level)
+        return assemble(net, trunc, theta)
+
+    monkeypatch.setattr(diagnostics, "assemble", counted)
+    net = builtin_model("mmc", c=2)
+    rows = truncation_study(net, (1.5, 1.0), [((0,), (4,), 1.0)], k=14.0,
+                            r_stop=10)
+    # the reference scan stops at level 7; the rows reuse its values
+    assert len(rows) == 8
+    assert len(calls) == len(set(calls)) == 8
 
 
 def test_write_rows_csv(tmp_path):

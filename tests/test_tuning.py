@@ -1,6 +1,7 @@
 """Convergence profiling, sequence tuning, and the grid stage."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -249,6 +250,18 @@ def test_tune_estimator_ra_mode():
     again = tune_estimator(est, theta, p_min=0.9, profiles=tuned.profiles)
     assert again.sequence == tuned.sequence
     assert again.law == tuned.law
+
+
+def test_replace_keeps_tuning_byproducts():
+    net, data = _queue_problem()
+    est = LikelihoodEstimator(net, data, EstimatorConfig(mode="ra"))
+    tuned = tune_estimator(est, [0.8, 0.6], p_min=0.9)
+    again = replace(tuned, sigma_zeta=1.25)
+    assert again.profiles is tuned.profiles
+    report = replace(again, grid_report=[{"p_min": 0.9}])
+    assert replace(report, proposal_cov=None).grid_report is report.grid_report
+    # byproducts take no part in comparisons
+    assert again == replace(tuned, sigma_zeta=1.25, profiles=None)
 
 
 def test_tune_estimator_ia_mode_tunes_each_observation():
