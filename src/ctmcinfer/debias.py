@@ -262,12 +262,32 @@ class EstimatorConfig:
                 )
 
 
+def _observation_plan(base, obs_list) -> list:
+    """(dt, sorted source rows, (row position, destination) pairs) per dt.
+
+    Indices are taken on the ladder's base; truncations nest as index
+    prefixes, so they hold at every level.
+    """
+    groups: dict = {}
+    for x_from, x_to, dt in obs_list:
+        groups.setdefault(dt, []).append(
+            (base.index_of(x_from), base.index_of(x_to)))
+    plan = []
+    for dt, pairs in groups.items():
+        rows = sorted({src for src, _ in pairs})
+        pos = {src: j for j, src in enumerate(rows)}
+        plan.append((dt, rows, [(pos[src], dst) for src, dst in pairs]))
+    return plan
+
+
 class LikelihoodEstimator:
     """Unbiased transition-likelihood estimates for a dataset under a network.
 
     Holds one lazily grown truncation ladder per distinct seed truncation
-    plus the merged ladder; ladders persist across calls, assembled matrices
-    do not (they depend on theta, which changes every sampler iteration).
+    plus the merged ladder. What does not depend on theta is computed once:
+    each truncation caches its assembly stencil, and each target its
+    observation plan (row indices and dt groups). Assembled matrices are
+    kept only within one call, since theta changes every sampler iteration.
     Each mode is a list of targets, each one telescoped independently: RA
     has the single merged target, IA one target per observation.
     """
@@ -307,16 +327,20 @@ class LikelihoodEstimator:
         # the keys of the independent telescope draws: None is every
         # observation on the merged ladder, i is observation i on its own
         self.targets = [None] if self.mode == "ra" else list(range(len(bases)))
+        # every key value_fn accepts gets its observation plan, in both modes
+        self._plans = {None: _observation_plan(self.merged_ladder.base,
+                                               self.observations)}
+        for i, obs in enumerate(self.observations):
+            self._plans[i] = _observation_plan(self.obs_ladders[i].base, [obs])
 
     @property
     def n_observations(self) -> int:
         return len(self.observations)
 
     def _target(self, key: int | None):
-        """(ladder, observation list) of one target key."""
-        if key is None:
-            return self.merged_ladder, self.observations
-        return self.obs_ladders[key], [self.observations[key]]
+        """(ladder, observation plan) of one target key."""
+        ladder = self.merged_ladder if key is None else self.obs_ladders[key]
+        return ladder, self._plans[key]
 
     def sequence_for(self, i: int | None) -> JointSequence:
         if i is not None and self.config.sequences is not None:
@@ -338,7 +362,7 @@ class LikelihoodEstimator:
         q_bar = self.config.q_bar_global
         return "uniformization", select_s_uniformization(-q_bar * dt, eps), q_bar
 
-    def _log_value(self, ladder, obs_list, theta, r: int, k: float,
+    def _log_value(self, ladder, obs_plan, theta, r: int, k: float,
                    mat_cache: dict, meter=None) -> float:
         """log of the product of approximate transition probabilities."""
         key = (id(ladder), r)
@@ -346,22 +370,14 @@ class LikelihoodEstimator:
         if trmat is None:
             trmat = assemble(self.net, ladder.level(r), theta)
             mat_cache[key] = trmat
-        trunc = trmat.truncation
-        groups: dict = {}
-        for x_from, x_to, dt in obs_list:
-            groups.setdefault(dt, []).append(
-                (trunc.index_of(x_from), trunc.index_of(x_to))
-            )
         total = 0.0
-        for dt, pairs in groups.items():
+        for dt, rows, picks in obs_plan:
             base_method, s, q_bar = self._plan(trmat, dt, k)
-            rows = sorted({src for src, _ in pairs})
-            pos = {src: j for j, src in enumerate(rows)}
             block = rows_action(base_method, trmat, dt, s, rows, meter, q_bar)
-            for src, dst in pairs:
+            for j, dst in picks:
                 # exact values are nonnegative; rounding may leave a tiny
                 # negative at structural zeros
-                p = max(float(block[pos[src], dst]), 0.0)
+                p = max(float(block[j, dst]), 0.0)
                 total += math.log(p) if p > 0.0 else -math.inf
         return total
 
@@ -369,12 +385,12 @@ class LikelihoodEstimator:
 
     def _debiased(self, key, theta, rng, mat_cache: dict, meter=None) -> float:
         """Log of one debiased estimate of a target's probability."""
-        ladder, obs_list = self._target(key)
+        ladder, obs_plan = self._target(key)
         seq, law = self.sequence_for(key), self.law_for(key)
         n_draw = law.sample(rng)
 
         def log_value(n):
-            return self._log_value(ladder, obs_list, theta, seq.level(n),
+            return self._log_value(ladder, obs_plan, theta, seq.level(n),
                                    seq.accuracy(n), mat_cache, meter)
 
         l0, l_lo, l_hi, _ = _telescope(log_value, 0, n_draw, scale="log")
@@ -393,20 +409,23 @@ class LikelihoodEstimator:
 
     # -- deterministic evaluations for tuning and limits ---------------------
 
-    def value_fn(self, theta, obs_index: int | None = None, meter=None):
+    def value_fn(self, theta, obs_index: int | None = None, meter=None,
+                 mat_cache: dict | None = None):
         """f(r, k) -> linear-space approximate value, matrices cached per theta.
 
         obs_index is a target key: one observation's transition probability,
         or None for the product over all observations on the merged
-        truncation.
+        truncation. Value functions at one theta may share mat_cache, so
+        targets on one ladder assemble each level once.
         """
         theta = self.net.validate_theta(theta)
-        ladder, obs_list = self._target(obs_index)
-        mat_cache: dict = {}
+        ladder, obs_plan = self._target(obs_index)
+        if mat_cache is None:
+            mat_cache = {}
 
         def f(r: int, k: float) -> float:
             return math.exp(
-                self._log_value(ladder, obs_list, theta, r, k, mat_cache, meter)
+                self._log_value(ladder, obs_plan, theta, r, k, mat_cache, meter)
             )
 
         return f

@@ -198,6 +198,8 @@ def truncation_study(net, theta, observations, k: float = ACCURACY_CAP,
     The reference value is the first level (up to r_cap) where growth changes
     the value by less than tol at the accuracy cap. Rows report the shortfall
     reference - value_r, which is nonnegative for these monotone schemes.
+    Raises RuntimeError when an observation does not converge by r_cap,
+    since without a reference no shortfall can be reported.
     """
     rows = []
     for idx, (x_from, x_to, dt) in enumerate(observations):
@@ -213,14 +215,16 @@ def truncation_study(net, theta, observations, k: float = ACCURACY_CAP,
             return max(float(block[0, trunc.index_of(x_to)]), 0.0)
 
         values = [value(0)]
-        reference = values[0]
-        r_ref = r_cap
-        for r in range(1, r_cap + 1):
-            values.append(value(r))
-            if abs(values[r] - values[r - 1]) < tol:
-                reference = values[r]
-                r_ref = r
+        for r_ref in range(1, r_cap + 1):
+            values.append(value(r_ref))
+            if abs(values[r_ref] - values[r_ref - 1]) < tol:
                 break
+        else:
+            raise RuntimeError(
+                f"observation {idx} ({x_from} -> {x_to}): no level up to "
+                f"r_cap={r_cap} changes the value by less than tol={tol}"
+            )
+        reference = values[r_ref]
         for r in range(0, min(r_stop, r_ref) + 1):
             v = values[r]
             rows.append({

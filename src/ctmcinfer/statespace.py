@@ -346,33 +346,100 @@ class TruncatedRateMatrix:
         return self.matrix.toarray()
 
 
+class _Stencil:
+    """The theta-free part of assembly on one truncation, for one network.
+
+    states is the (b, n_species) state array. Reactions with equal update
+    vectors form one channel, in first-seen order, as rate_row merges their
+    targets. Each channel holds its reactions, the rows whose target lies
+    inside the bounds, and each such target's index in the truncation (-1
+    when the truncation drops it).
+    """
+
+    def __init__(self, net: ReactionNetwork, trunc: Truncation):
+        states = np.array(trunc.states, dtype=np.int64)
+        lo = np.asarray(net.lower_bounds)
+        hi = np.asarray(net.upper_bounds, dtype=float)
+        outside = np.flatnonzero(~(np.all(states >= lo, axis=1)
+                                   & np.all(states <= hi, axis=1)))
+        if outside.size:
+            raise ValueError(f"state {tuple(states[outside[0]])} outside the "
+                             "state-space bounds")
+        channels: dict = {}
+        for r, u in enumerate(net.update_matrix):
+            channels.setdefault(tuple(u), []).append(r)
+        self.states = states
+        self.channels = []
+        for u, reactions in channels.items():
+            targets = states + np.asarray(u, dtype=np.int64)
+            rows = np.flatnonzero(np.all(targets >= lo, axis=1)
+                                  & np.all(targets <= hi, axis=1))
+            cols = np.array([trunc._index.get(tuple(t), -1)
+                             for t in targets[rows].tolist()], dtype=np.int64)
+            self.channels.append((tuple(reactions), rows, cols))
+
+
+def _stencil(net: ReactionNetwork, trunc: Truncation) -> _Stencil:
+    """The truncation's stencil for net, built on first use and cached on it.
+
+    Two threads may both build it; the result is the same and is stored in
+    one attribute write, so the race is benign.
+    """
+    cached = getattr(trunc, "_stencil", None)
+    if cached is None or cached[0] is not net:
+        cached = (net, _Stencil(net, trunc))
+        object.__setattr__(trunc, "_stencil", cached)
+    return cached[1]
+
+
 def assemble(net: ReactionNetwork, trunc: Truncation, theta) -> TruncatedRateMatrix:
-    """Build the truncated rate matrix for theta on the given truncation."""
+    """Build the truncated rate matrix for theta on the given truncation.
+
+    Entry for entry the same as a per-state build from net.rate_row: each
+    propensity sees the same state rows and every sum keeps its order.
+    """
     b = len(trunc)
     theta = net.validate_theta(theta)
-    diag = np.zeros(b)
-    deficit = np.zeros(b)
-    rows, cols, vals = [], [], []
-    for i, s in enumerate(trunc.states):
-        row = net.rate_row(s, theta)
-        diag[i] = row.diagonal
-        kept = 0.0
-        for tgt, rate in row.targets.items():
-            if tgt in trunc:
-                rows.append(i)
-                cols.append(trunc.index_of(tgt))
-                vals.append(rate)
-                kept += rate
-        deficit[i] = -row.diagonal - kept
-    rows.extend(range(b))
-    cols.extend(range(b))
-    vals.extend(diag)
-    mat = sp.csr_matrix(
-        (np.asarray(vals), (np.asarray(rows), np.asarray(cols))), shape=(b, b)
-    )
-    matrix = mat.toarray() if b <= DENSE_LIMIT else mat
+    stencil = _stencil(net, trunc)
+    rates = np.zeros((b, net.n_reactions))
+    kept = np.zeros(b)
+    rows_all, cols_all, vals_all = [], [], []
+    for reactions, rows, cols in stencil.channels:
+        in_bounds = stencil.states[rows]
+        # rate_row's merge of equal targets: 0.0 plus each rate in order
+        merged = 0.0
+        for r in reactions:
+            prop = net.propensities[r]
+            vals = np.array([float(prop(x, theta)) for x in in_bounds])
+            rates[rows, r] = vals
+            merged = merged + vals
+        # rate_row lists only positive rates, and only kept targets enter
+        keep = (cols >= 0) & (merged > 0.0)
+        rows, cols, merged = rows[keep], cols[keep], merged[keep]
+        kept[rows] += merged
+        rows_all.append(rows)
+        cols_all.append(cols)
+        vals_all.append(merged)
+    if (rates < 0).any():
+        i, r = np.argwhere(rates < 0)[0]
+        raise ValueError(f"negative propensity {float(rates[i, r])} for reaction "
+                         f"{int(r)} at {tuple(stencil.states[i])}")
+    diag = -rates.sum(axis=1)
+    deficit = -diag - kept
     # clamp tiny negative deficits from float cancellation
     np.maximum(deficit, 0.0, out=deficit)
+    idx = np.arange(b)
+    if b <= DENSE_LIMIT:
+        matrix = np.zeros((b, b))
+        for rows, cols, vals in zip(rows_all, cols_all, vals_all):
+            matrix[rows, cols] += vals
+        matrix[idx, idx] += diag
+    else:
+        matrix = sp.csr_matrix(
+            (np.concatenate(vals_all + [diag]),
+             (np.concatenate(rows_all + [idx]), np.concatenate(cols_all + [idx]))),
+            shape=(b, b),
+        )
     return TruncatedRateMatrix(
         truncation=trunc,
         matrix=matrix,

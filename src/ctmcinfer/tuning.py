@@ -292,8 +292,10 @@ def tune_estimator(estimator: LikelihoodEstimator, theta, p_min: float = 0.9,
     """
     theta = estimator.net.validate_theta(theta)
     seqs, laws, tuned_profiles = [], [], []
+    # targets sharing a ladder assemble each of its levels once
+    mat_cache: dict = {}
     for j, key in enumerate(estimator.targets):
-        f = estimator.value_fn(theta, key)
+        f = estimator.value_fn(theta, key, mat_cache=mat_cache)
         prof = profiles[j] if profiles else None
         seq, law, prof = _tune_target(f, p_min, eps, r_explore, sigma_default,
                                       prof)

@@ -1,11 +1,13 @@
 """End-to-end tests of the command line front end, driven through main()."""
 
+import functools
 import json
 import subprocess
 import sys
 
 import numpy as np
 
+from ctmcinfer import cli, truncation_study
 from ctmcinfer.cli import argv_from_manifest, main
 from ctmcinfer.datasets import Dataset, read_dataset, write_dataset
 from ctmcinfer.sampler import read_trace
@@ -167,6 +169,18 @@ def test_truncstudy_writes_rows(tmp_path):
     assert lines[0].split(",") == ["obs_index", "r", "states", "value",
                                    "error"]
     assert len(lines) > 1
+
+
+def test_truncstudy_unconverged_exits_1(tmp_path, monkeypatch, capsys):
+    data = _simulate(tmp_path)
+    monkeypatch.setattr(cli, "truncation_study",
+                        functools.partial(truncation_study, r_cap=0))
+    out = tmp_path / "trunc.csv"
+    rc = main(["truncstudy", *QUEUE_FLAGS, "--data", str(data),
+               "--theta", "0.8,0.6", "--out", str(out)])
+    assert rc == 1
+    assert "r_cap=0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sample_diag_round_trip(tmp_path, capsys):

@@ -26,8 +26,10 @@ from ctmcinfer import (
     oracle_expm,
     oste,
     oste_variance,
+    sample_dataset,
     stable_log_combine,
 )
+from ctmcinfer import statespace
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +425,38 @@ def test_equal_seed_truncations_share_a_ladder():
     assert est.targets == [0, 1, 2, 3, 4]
     ra = LikelihoodEstimator(net, data, replace(cfg, mode="ra"))
     assert ra.targets == [None]
+
+
+def test_estimates_assemble_from_cached_stencils(monkeypatch):
+    # the test-09 queue data: estimates never build a rate row per state,
+    # and each truncation's stencil is built on first use only
+    net = builtin_model("mmc", c=2)
+    rng = np.random.default_rng(1000)
+    data = sample_dataset(net, np.array([1.5, 1.0]), (0,), np.arange(31.0), rng,
+                          seed=1000)
+    est = LikelihoodEstimator(net, data, EstimatorConfig(
+        mode="ra", sequence=JointSequence(2, 6.0, 0.5), law=GeometricLaw(0.5)))
+    rate_rows = []
+    built = []
+
+    def counted_rate_row(self, x, theta):
+        rate_rows.append(x)
+        return original_rate_row(self, x, theta)
+
+    class CountedStencil(statespace._Stencil):
+        def __init__(self, net, trunc):
+            built.append(trunc)
+            super().__init__(net, trunc)
+
+    original_rate_row = ReactionNetwork.rate_row
+    monkeypatch.setattr(ReactionNetwork, "rate_row", counted_rate_row)
+    monkeypatch.setattr(statespace, "_Stencil", CountedStencil)
+    rng = np.random.default_rng(5)
+    estimates = [est.log_estimate([1.4, 1.1], rng) for _ in range(50)]
+    assert all(math.isfinite(v) for v in estimates)
+    assert rate_rows == []
+    assert built
+    assert len({id(tr) for tr in built}) == len(built)
 
 
 # ---------------------------------------------------------------------------

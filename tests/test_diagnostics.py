@@ -170,6 +170,12 @@ def test_truncation_study_assembles_each_level_once(monkeypatch):
     assert len(calls) == len(set(calls)) == 8
 
 
+def test_truncation_study_refuses_an_unconverged_reference():
+    net = builtin_model("mmc", c=2)
+    with pytest.raises(RuntimeError, match=r"observation 0 .*r_cap=3"):
+        truncation_study(net, (1.5, 1.0), [((0,), (4,), 1.0)], r_cap=3)
+
+
 def test_write_rows_csv(tmp_path):
     rows = [{"a": 1, "b": "x"}, {"a": 2, "b": "y"}]
     path = write_rows_csv(rows, tmp_path / "rows.csv")

@@ -1,5 +1,7 @@
 """Truncations, seed paths, and truncated rate-matrix assembly."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -22,7 +24,7 @@ from ctmcinfer import (
     seed_reaction_counts,
     seed_truncation,
 )
-from ctmcinfer.statespace import default_directions
+from ctmcinfer.statespace import DENSE_LIMIT, default_directions
 
 
 def test_truncation_rejects_duplicates():
@@ -261,6 +263,121 @@ def test_truncated_matrix_is_taboo_generator():
 
         walk([start])
         assert probs[start] == pytest.approx(brute, abs=1e-9)
+
+
+def _assemble_by_rate_row(net, trunc, theta):
+    """Per-state reference assembly: one rate_row per state, as dicts."""
+    b = len(trunc)
+    diag = np.zeros(b)
+    deficit = np.zeros(b)
+    rows, cols, vals = [], [], []
+    for i, s in enumerate(trunc.states):
+        row = net.rate_row(s, theta)
+        diag[i] = row.diagonal
+        kept = 0.0
+        for tgt, rate in row.targets.items():
+            if tgt in trunc:
+                rows.append(i)
+                cols.append(trunc.index_of(tgt))
+                vals.append(rate)
+                kept += rate
+        deficit[i] = -row.diagonal - kept
+    rows.extend(range(b))
+    cols.extend(range(b))
+    vals.extend(diag)
+    mat = sp.csr_matrix(
+        (np.asarray(vals), (np.asarray(rows), np.asarray(cols))), shape=(b, b)
+    )
+    np.maximum(deficit, 0.0, out=deficit)
+    return (mat.toarray() if b <= DENSE_LIMIT else mat), diag, deficit
+
+
+def _assert_bit_identical(net, trunc, theta):
+    got = assemble(net, trunc, theta)
+    matrix, diag, deficit = _assemble_by_rate_row(net, trunc, theta)
+    assert got.is_dense == (len(trunc) <= DENSE_LIMIT)
+    if got.is_dense:
+        assert np.array_equal(got.matrix, matrix)
+    else:
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got.matrix, attr), getattr(matrix, attr))
+    assert np.array_equal(got.diag, diag)
+    assert np.array_equal(got.deficit, deficit)
+    assert got.q_bar == float(diag.min())
+
+
+def _wide_base(lo, hi):
+    return Truncation(states=tuple((i,) for i in range(lo, hi)))
+
+
+def _box_base(width, n_species):
+    return Truncation(states=tuple(itertools.product(range(width), repeat=n_species)))
+
+
+# (model, parameters, ladder base, top level); level 0 holds at most
+# DENSE_LIMIT states and the top level more, so levels cross the limit
+_ASSEMBLY_CASES = [
+    ("mmc", {"c": 2}, _wide_base(0, 506), 9),
+    ("mmc", {"c": 3, "upper_bounds": (600,)}, _wide_base(0, 506), 9),
+    ("schloegl_bd", {}, _wide_base(0, 506), 9),
+    ("schloegl_bd", {"upper_bounds": (520,)}, _wide_base(3, 506), 16),
+    ("ssir", {}, _box_base(7, 3), 3),
+    ("ssir", {"upper_bounds": (9, 9, 9)}, _box_base(8, 3), 4),
+    ("lv3", {}, _box_base(22, 2), 3),
+    ("lv4", {}, _box_base(22, 2), 3),
+]
+
+
+@pytest.fixture(scope="module")
+def assembly_ladders():
+    ladders = []
+    for name, params, base, top in _ASSEMBLY_CASES:
+        net = builtin_model(name, **params)
+        ladder = TruncationLadder(base, net)
+        assert len(ladder.level(0)) <= DENSE_LIMIT < len(ladder.level(top))
+        ladders.append((ladder, top))
+    return ladders
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_assemble_equals_a_per_state_rate_row_build(assembly_ladders, data):
+    ladder, top = data.draw(st.sampled_from(assembly_ladders))
+    level = data.draw(st.integers(0, top))
+    theta = data.draw(st.lists(st.floats(0.05, 5.0), min_size=ladder.net.param_dim,
+                               max_size=ladder.net.param_dim))
+    _assert_bit_identical(ladder.net, ladder.level(level), theta)
+
+
+def test_one_truncation_assembles_per_network():
+    # the same truncation under two bounds: the capped net drops the birth
+    # at state 3 from the diagonal, the uncapped one keeps it as a deficit
+    capped = builtin_model("mmc", c=1, upper_bounds=(3,))
+    open_ = builtin_model("mmc", c=1)
+    tr = _wide_base(0, 4)
+    theta = [1.0, 2.0]
+    for net in (capped, open_, capped):
+        _assert_bit_identical(net, tr, theta)
+    assert assemble(capped, tr, theta).diag[3] == -2.0
+    assert assemble(open_, tr, theta).diag[3] == -3.0
+    assert assemble(open_, tr, theta).deficit[3] == 1.0
+
+
+def test_assemble_rejects_a_negative_propensity():
+    net = ReactionNetwork(
+        update_matrix=np.array([[1], [-1]]),
+        propensities=(lambda x, th: th[0], lambda x, th: th[1] - x[0]),
+        lower_bounds=(0,),
+        upper_bounds=(None,),
+        param_dim=2,
+        name="bad",
+    )
+    with pytest.raises(ValueError) as want:
+        net.propensity_vector((2,), [1.0, 1.5])
+    with pytest.raises(ValueError) as got:
+        assemble(net, _wide_base(0, 4), [1.0, 1.5])
+    assert str(got.value) == str(want.value)
+    assert "reaction 1" in str(got.value)
 
 
 def test_ra_rule_of_thumb_threshold():

@@ -33,6 +33,8 @@ from ctmcinfer import (
     tuned_config_from_text,
     tuned_config_to_text,
 )
+from ctmcinfer import debias
+from ctmcinfer.statespace import assemble
 
 
 def _smooth_target(r, k):
@@ -275,6 +277,34 @@ def test_tune_estimator_ia_mode_tunes_each_observation():
     assert len(tuned.profiles) == 3
     cfg = tuned.to_estimator_config()
     assert cfg.sequences == tuned.sequences
+
+
+def test_ia_tuning_assembles_each_ladder_level_once(monkeypatch):
+    # observations 0 and 2 share a seed truncation, hence a ladder; tuning
+    # must not assemble the levels they have in common twice
+    net, data = _queue_problem(rows=((0,), (2,), (0,), (2,), (1,)))
+    est = LikelihoodEstimator(net, data, EstimatorConfig(mode="ia"))
+    assert est.obs_ladders[0] is est.obs_ladders[2]
+    theta = np.array([0.8, 0.6])
+    assembled = []
+
+    def counted(net, trunc, theta):
+        assembled.append(trunc)
+        return assemble(net, trunc, theta)
+
+    monkeypatch.setattr(debias, "assemble", counted)
+    tuned = tune_estimator(est, theta, p_min=0.9)
+    # a ladder's level r is one truncation object, so distinct objects are
+    # the distinct (ladder, level) pairs touched
+    assert len(assembled) == len({id(tr) for tr in assembled})
+    # sharing the cache leaves each target's tuning as it is alone
+    for i, (x_from, x_to, dt) in enumerate(est.observations):
+        alone = LikelihoodEstimator(
+            net, Dataset(np.array([0.0, dt]), np.array([x_from, x_to]), model="mmc"),
+            EstimatorConfig(mode="ia"))
+        single = tune_estimator(alone, theta, p_min=0.9)
+        assert (single.sequences[0], single.laws[0]) == (tuned.sequences[i],
+                                                         tuned.laws[i])
 
 
 def test_tuned_sequences_actually_start_near_convergence():
