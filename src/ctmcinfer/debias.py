@@ -263,10 +263,12 @@ class EstimatorConfig:
 
 
 def _observation_plan(base, obs_list) -> list:
-    """(dt, sorted source rows, (row position, destination) pairs) per dt.
+    """(dt, sorted source rows, pick rows, pick destinations) per dt.
 
-    Indices are taken on the ladder's base; truncations nest as index
-    prefixes, so they hold at every level.
+    The picks are index arrays into the block of the source rows, one
+    (row position, destination) pair per observation. Indices are taken on
+    the ladder's base; truncations nest as index prefixes, so they hold at
+    every level.
     """
     groups: dict = {}
     for x_from, x_to, dt in obs_list:
@@ -276,7 +278,9 @@ def _observation_plan(base, obs_list) -> list:
     for dt, pairs in groups.items():
         rows = sorted({src for src, _ in pairs})
         pos = {src: j for j, src in enumerate(rows)}
-        plan.append((dt, rows, [(pos[src], dst) for src, dst in pairs]))
+        plan.append((dt, np.array(rows, dtype=np.int64),
+                     np.array([pos[src] for src, _ in pairs], dtype=np.int64),
+                     np.array([dst for _, dst in pairs], dtype=np.int64)))
     return plan
 
 
@@ -287,7 +291,9 @@ class LikelihoodEstimator:
     plus the merged ladder. What does not depend on theta is computed once:
     each truncation caches its assembly stencil, and each target its
     observation plan (row indices and dt groups). Assembled matrices are
-    kept only within one call, since theta changes every sampler iteration.
+    kept only within one call, since theta changes every sampler iteration;
+    a telescope draw assembles its top level and takes the lower ones as
+    leading blocks.
     Each mode is a list of targets, each one telescoped independently: RA
     has the single merged target, IA one target per observation.
     """
@@ -371,13 +377,13 @@ class LikelihoodEstimator:
             trmat = assemble(self.net, ladder.level(r), theta)
             mat_cache[key] = trmat
         total = 0.0
-        for dt, rows, picks in obs_plan:
+        for dt, rows, js, dsts in obs_plan:
             base_method, s, q_bar = self._plan(trmat, dt, k)
             block = rows_action(base_method, trmat, dt, s, rows, meter, q_bar)
-            for j, dst in picks:
+            for p in block[js, dsts].tolist():
                 # exact values are nonnegative; rounding may leave a tiny
                 # negative at structural zeros
-                p = max(float(block[j, dst]), 0.0)
+                p = max(p, 0.0)
                 total += math.log(p) if p > 0.0 else -math.inf
         return total
 
@@ -388,6 +394,15 @@ class LikelihoodEstimator:
         ladder, obs_plan = self._target(key)
         seq, law = self.sequence_for(key), self.law_for(key)
         n_draw = law.sample(rng)
+        # assemble the top level once; the two lower levels are its blocks
+        levels = (seq.level(0), seq.level(n_draw), seq.level(n_draw + 1))
+        top = mat_cache.get((id(ladder), levels[2]))
+        if top is None:
+            top = assemble(self.net, ladder.level(levels[2]), theta)
+            mat_cache[(id(ladder), levels[2])] = top
+        for r in levels[:2]:
+            if (id(ladder), r) not in mat_cache:
+                mat_cache[(id(ladder), r)] = top.leading_block(ladder.level(r))
 
         def log_value(n):
             return self._log_value(ladder, obs_plan, theta, seq.level(n),

@@ -16,7 +16,9 @@ only selected rows, with a FLOP meter counting matrix-multiplication work.
 
 from __future__ import annotations
 
+import functools
 import math
+from types import MappingProxyType
 
 import numpy as np
 import scipy.sparse as sp
@@ -41,6 +43,10 @@ _DIAG_TIE_RTOL = 1e-12
 
 # uniformization weights are renormalized this often
 _RENORM_EVERY = 64
+
+# Poisson schedules of at most this many terms are cached per (lam, s), 64 of
+# them, so the cache holds at most 64 * (_SCHEDULE_CACHE_TERMS + 1) floats
+_SCHEDULE_CACHE_TERMS = 16384
 
 
 class FlopMeter:
@@ -96,41 +102,18 @@ def _to_dense(mat) -> np.ndarray:
 # resolution-selection rules
 
 
-def _norm_ppf(p: float) -> float:
-    """Standard normal quantile (Acklam's rational approximation, ~1e-9)."""
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must be in (0, 1)")
-    a = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-         1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-    b = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-         6.680131188771972e+01, -1.328068155288572e+01)
-    c = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-         -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-    d = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-         3.754408661907416e+00)
-    plow, phigh = 0.02425, 1 - 0.02425
-    if p < plow:
-        q = math.sqrt(-2 * math.log(p))
-        return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-               ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1)
-    if p > phigh:
-        return -_norm_ppf(1 - p)
-    q = p - 0.5
-    r = q * q
-    return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-           (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1)
-
-
+@functools.lru_cache(maxsize=256)
 def poisson_quantile(lam: float, eps: float) -> int:
     """Smallest s with P(Poisson(lam) > s) <= eps.
 
     A normal-quantile estimate centers a wide pmf window; summing that
     window from the far tail inward gives the survival function without
-    cancellation, so the integer answer is exact down to tiny eps.
+    cancellation, so the integer answer is exact down to tiny eps. Answers
+    are cached: a run asks for a few (lam, eps) pairs over and over.
     """
     if eps >= 1.0 or lam <= 0.0:
         return 0
-    z = abs(_norm_ppf(1.0 - max(eps, 1e-300))) if eps < 0.5 else 0.0
+    z = -float(scipy.special.ndtri(max(eps, 1e-300))) if eps < 0.5 else 0.0
     sd = math.sqrt(lam)
     lo = max(0, int(lam - 12.0 * sd - 20.0))
     hi = int(lam + (z + 12.0) * sd + 100.0)
@@ -239,47 +222,55 @@ def skeletoid_split(k: int, b: int, m: int, beta: float = 0.1) -> tuple:
 
 
 def _check_q_bar(diag, q_bar):
-    if q_bar > diag.min() + 1e-12 * max(1.0, abs(diag.min())):
+    smallest = diag.min()
+    if q_bar > smallest + 1e-12 * max(1.0, abs(smallest)):
         raise ValueError(
-            f"q_bar={q_bar} must lie at or below the smallest diagonal {diag.min()}"
+            f"q_bar={q_bar} must lie at or below the smallest diagonal {smallest}"
         )
     if q_bar > 0:
         raise ValueError("q_bar must be nonpositive")
 
 
-class _ScaledSeries:
-    """Poisson-weighted accumulation with periodic renormalization.
+def _scaled_poisson_weights(lam: float, s: int) -> tuple:
+    """Scaled Poisson(lam) weights of terms 0..s and where they rescale.
 
-    Terms arrive as matrices with entries in [0, 1] (powers of a
-    sub-stochastic P); only the scalar weights need log-space care. The
-    accumulator is kept at a floating anchor L so exp(logw - L) never
-    overflows even when exp(-lam) itself underflows.
+    Returns (weights, rescales, anchor). The sum is kept relative to a
+    floating anchor L so exp(logw - L) never overflows even when exp(-lam)
+    itself underflows: weights[n] = exp(logw_n - L_n), rescales maps a term
+    n to the factor exp(L_old - L_n) the running sum takes before term n is
+    added, and anchor is the final L, so the series is the scaled sum times
+    exp(anchor). The anchor is renormalized every _RENORM_EVERY terms and
+    whenever a log-weight passes it by 600.
     """
+    log_lam = math.log(lam)
+    weights = np.empty(s + 1)
+    weights[0] = 1.0
+    rescales = {}
+    anchor = -lam
+    for n in range(1, s + 1):
+        # direct evaluation: an incremental logw update drifts by the
+        # rounding of a 1e6-magnitude float once per term
+        logw = -lam + n * log_lam - math.lgamma(n + 1)
+        if n % _RENORM_EVERY == 0 or logw > anchor + 600.0:
+            new_anchor = max(anchor, logw)
+            factor = math.exp(anchor - new_anchor)
+            if factor != 1.0:
+                rescales[n] = factor
+            anchor = new_anchor
+        weights[n] = math.exp(logw - anchor)
+    # every caller shares the cached result
+    weights.flags.writeable = False
+    return weights, MappingProxyType(rescales), anchor
 
-    def __init__(self, shape, lam):
-        self.lam = lam
-        self.log_lam = math.log(lam)
-        self.logw = -lam
-        self.anchor = -lam
-        self.acc = np.zeros(shape)
-        self.n = 0
 
-    def add(self, term):
-        if self.n > 0:
-            # direct evaluation: an incremental logw update drifts by the
-            # rounding of a 1e6-magnitude float once per term
-            self.logw = -self.lam + self.n * self.log_lam - math.lgamma(self.n + 1)
-            if self.n % _RENORM_EVERY == 0 or self.logw > self.anchor + 600.0:
-                new_anchor = max(self.anchor, self.logw)
-                self.acc *= math.exp(self.anchor - new_anchor)
-                self.anchor = new_anchor
-        w = math.exp(self.logw - self.anchor)
-        if w != 0.0:
-            self.acc += w * term
-        self.n += 1
+_cached_poisson_weights = functools.lru_cache(maxsize=64)(_scaled_poisson_weights)
 
-    def value(self):
-        return self.acc * math.exp(self.anchor)
+
+def _poisson_schedule(lam: float, s: int) -> tuple:
+    """_scaled_poisson_weights(lam, s), cached unless it is long."""
+    if s > _SCHEDULE_CACHE_TERMS:
+        return _scaled_poisson_weights(lam, s)
+    return _cached_poisson_weights(lam, s)
 
 
 def uniformization(Q, t: float, s: int, meter: FlopMeter | None = None,
@@ -328,19 +319,24 @@ def rows_action(method: str, Q, t: float, s: int, rows,
             P = np.eye(b) + mat / (-q_bar)
         else:
             P = (sp.eye(b, format="csr") + mat.multiply(1.0 / (-q_bar))).tocsr()
-        series = _ScaledSeries((m, b), lam)
+        weights, rescales, anchor = _poisson_schedule(lam, s)
         block = np.zeros((m, b))
         block[np.arange(m), rows] = 1.0
-        series.add(block)
-        for _ in range(s):
-            block = block @ P
+        acc = block.copy()
+        for n, w in zip(range(1, s + 1), weights[1:].tolist()):
+            # ndarray.dot makes the BLAS call @ makes, bit for bit, with
+            # less per-call overhead; a sparse P needs @
+            block = block.dot(P) if dense else block @ P
             if meter is not None:
                 if dense:
                     meter.add_block_product(m, b)
                 else:
                     meter.add_sparse_pass(m, P.nnz)
-            series.add(block)
-        return series.value()
+            if n in rescales:
+                acc *= rescales[n]
+            if w != 0.0:
+                acc += w * block
+        return acc * math.exp(anchor)
 
     if method == "skeletoid":
         k1, k2 = skeletoid_split(s, b, m)

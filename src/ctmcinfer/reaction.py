@@ -102,7 +102,8 @@ class ReactionNetwork:
             raise ValueError(
                 f"theta must have shape ({self.param_dim},), got {theta.shape}"
             )
-        if np.any(theta < 0) or not np.all(np.isfinite(theta)):
+        # one pass; NaN fails both comparisons, -0.0 passes
+        if not all(0.0 <= v < math.inf for v in theta.tolist()):
             raise ValueError("theta must be finite and nonnegative")
         return theta
 

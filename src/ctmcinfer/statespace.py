@@ -317,7 +317,9 @@ class TruncatedRateMatrix:
 
     matrix is dense below DENSE_LIMIT states and CSR above. deficit[i] >= 0 is
     the rate mass row i loses to dropped targets; q_bar is the most negative
-    diagonal entry (so -q_bar bounds every exit rate).
+    diagonal entry (so -q_bar bounds every exit rate). entries holds the kept
+    off-diagonal rates as (rows, cols, rates) arrays, one triple per channel
+    in assembly order, so leading blocks can be rebuilt from it.
     """
 
     truncation: Truncation
@@ -325,6 +327,7 @@ class TruncatedRateMatrix:
     diag: np.ndarray
     deficit: np.ndarray
     q_bar: float
+    entries: tuple = field(repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -344,6 +347,23 @@ class TruncatedRateMatrix:
         if self.is_dense:
             return self.matrix
         return self.matrix.toarray()
+
+    def leading_block(self, trunc: Truncation) -> "TruncatedRateMatrix":
+        """What assemble builds on trunc, a prefix of this truncation.
+
+        A state's rates do not depend on the truncation, so the block keeps
+        this diagonal and the entries whose row and target both lie in the
+        prefix; the deficit and the storage are redone as assemble does
+        them, which makes the result equal bit for bit.
+        """
+        b = len(trunc)
+        if self.truncation.states[:b] != trunc.states:
+            raise ValueError("the truncation is not a prefix of this one")
+        entries = []
+        for rows, cols, rates in self.entries:
+            keep = (rows < b) & (cols < b)
+            entries.append((rows[keep], cols[keep], rates[keep]))
+        return _rate_matrix(trunc, tuple(entries), self.diag[:b].copy())
 
 
 class _Stencil:
@@ -392,6 +412,39 @@ def _stencil(net: ReactionNetwork, trunc: Truncation) -> _Stencil:
     return cached[1]
 
 
+def _rate_matrix(trunc: Truncation, entries: tuple,
+                 diag: np.ndarray) -> TruncatedRateMatrix:
+    """Deficit, q_bar and dense-or-CSR storage from the per-channel rates."""
+    b = len(trunc)
+    kept = np.zeros(b)
+    for rows, _, rates in entries:
+        kept[rows] += rates
+    deficit = -diag - kept
+    # clamp tiny negative deficits from float cancellation
+    np.maximum(deficit, 0.0, out=deficit)
+    idx = np.arange(b)
+    if b <= DENSE_LIMIT:
+        matrix = np.zeros((b, b))
+        for rows, cols, rates in entries:
+            matrix[rows, cols] += rates
+        matrix[idx, idx] += diag
+    else:
+        matrix = sp.csr_matrix(
+            (np.concatenate([e[2] for e in entries] + [diag]),
+             (np.concatenate([e[0] for e in entries] + [idx]),
+              np.concatenate([e[1] for e in entries] + [idx]))),
+            shape=(b, b),
+        )
+    return TruncatedRateMatrix(
+        truncation=trunc,
+        matrix=matrix,
+        diag=diag,
+        deficit=deficit,
+        q_bar=float(diag.min()),
+        entries=entries,
+    )
+
+
 def assemble(net: ReactionNetwork, trunc: Truncation, theta) -> TruncatedRateMatrix:
     """Build the truncated rate matrix for theta on the given truncation.
 
@@ -402,8 +455,7 @@ def assemble(net: ReactionNetwork, trunc: Truncation, theta) -> TruncatedRateMat
     theta = net.validate_theta(theta)
     stencil = _stencil(net, trunc)
     rates = np.zeros((b, net.n_reactions))
-    kept = np.zeros(b)
-    rows_all, cols_all, vals_all = [], [], []
+    entries = []
     for reactions, rows, cols in stencil.channels:
         in_bounds = stencil.states[rows]
         # rate_row's merge of equal targets: 0.0 plus each rate in order
@@ -415,38 +467,12 @@ def assemble(net: ReactionNetwork, trunc: Truncation, theta) -> TruncatedRateMat
             merged = merged + vals
         # rate_row lists only positive rates, and only kept targets enter
         keep = (cols >= 0) & (merged > 0.0)
-        rows, cols, merged = rows[keep], cols[keep], merged[keep]
-        kept[rows] += merged
-        rows_all.append(rows)
-        cols_all.append(cols)
-        vals_all.append(merged)
+        entries.append((rows[keep], cols[keep], merged[keep]))
     if (rates < 0).any():
         i, r = np.argwhere(rates < 0)[0]
         raise ValueError(f"negative propensity {float(rates[i, r])} for reaction "
                          f"{int(r)} at {tuple(stencil.states[i])}")
-    diag = -rates.sum(axis=1)
-    deficit = -diag - kept
-    # clamp tiny negative deficits from float cancellation
-    np.maximum(deficit, 0.0, out=deficit)
-    idx = np.arange(b)
-    if b <= DENSE_LIMIT:
-        matrix = np.zeros((b, b))
-        for rows, cols, vals in zip(rows_all, cols_all, vals_all):
-            matrix[rows, cols] += vals
-        matrix[idx, idx] += diag
-    else:
-        matrix = sp.csr_matrix(
-            (np.concatenate(vals_all + [diag]),
-             (np.concatenate(rows_all + [idx]), np.concatenate(cols_all + [idx]))),
-            shape=(b, b),
-        )
-    return TruncatedRateMatrix(
-        truncation=trunc,
-        matrix=matrix,
-        diag=diag,
-        deficit=deficit,
-        q_bar=float(diag.min()),
-    )
+    return _rate_matrix(trunc, tuple(entries), -rates.sum(axis=1))
 
 
 def ra_rule_of_thumb(sizes, merged_size: int, factor: float = 1.0 / 3.0) -> bool:

@@ -29,7 +29,7 @@ from ctmcinfer import (
     sample_dataset,
     stable_log_combine,
 )
-from ctmcinfer import statespace
+from ctmcinfer import debias, statespace
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +457,57 @@ def test_estimates_assemble_from_cached_stencils(monkeypatch):
     assert rate_rows == []
     assert built
     assert len({id(tr) for tr in built}) == len(built)
+
+
+def _test09_queue_estimator(mode):
+    net = builtin_model("mmc", c=2)
+    rng = np.random.default_rng(1000)
+    data = sample_dataset(net, np.array([1.5, 1.0]), (0,), np.arange(31.0), rng,
+                          seed=1000)
+    return LikelihoodEstimator(net, data, EstimatorConfig(
+        mode=mode, sequence=JointSequence(2, 6.0, 0.5), law=GeometricLaw(0.5)))
+
+
+def test_each_target_assembles_once_per_estimate(monkeypatch):
+    # RA has one target: its top telescope level is assembled, the two
+    # lower levels are leading blocks of it
+    est = _test09_queue_estimator("ra")
+    assembled = []
+
+    def counted(net, trunc, theta):
+        assembled.append(trunc)
+        return assemble(net, trunc, theta)
+
+    monkeypatch.setattr(debias, "assemble", counted)
+    rng = np.random.default_rng(5)
+    estimates = [est.log_estimate([1.4, 1.1], rng) for _ in range(50)]
+    assert all(math.isfinite(v) for v in estimates)
+    assert len(assembled) == 50
+
+
+@pytest.mark.parametrize("mode", ["ra", "ia"])
+def test_leading_blocks_leave_estimates_unchanged(monkeypatch, mode):
+    # the same draws with every level assembled on its own truncation
+    est = _test09_queue_estimator(mode)
+    thetas = [np.array([1.4, 1.1]), np.array([1.6, 0.9])]
+    rng = np.random.default_rng(9)
+    got = [est.log_estimate(thetas[i % 2], rng) for i in range(20)]
+    calls = []
+    current = {}
+
+    def assembled_instead(self, trunc):
+        calls.append(trunc)
+        return assemble(est.net, trunc, current["theta"])
+
+    monkeypatch.setattr(statespace.TruncatedRateMatrix, "leading_block",
+                        assembled_instead)
+    rng = np.random.default_rng(9)
+    want = []
+    for i in range(20):
+        current["theta"] = thetas[i % 2]
+        want.append(est.log_estimate(current["theta"], rng))
+    assert calls
+    assert got == want
 
 
 # ---------------------------------------------------------------------------

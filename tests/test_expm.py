@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +27,7 @@ from ctmcinfer import (
     skeletoid_split,
     uniformization,
 )
+from ctmcinfer import expm
 
 TIED = np.array([[-1.0, 1.0], [1.0, -1.0]])
 
@@ -264,6 +266,112 @@ def test_rows_action_sparse_metering_cheaper_than_full():
     meter_full = FlopMeter()
     uniformization(m, 0.5, 20, meter_full)
     assert meter_rows.flops < meter_full.flops / 10
+
+
+class _ScaledSeries:
+    """The Poisson-weighted accumulation rows_action ran before its weights
+    were cached, kept as the reference: each term's log-weight from lgamma,
+    renormalized every 64 terms or when a log-weight passes the anchor by
+    600. Also records each weight and each rescale factor other than 1.
+    """
+
+    def __init__(self, shape, lam):
+        self.lam = lam
+        self.log_lam = math.log(lam)
+        self.logw = -lam
+        self.anchor = -lam
+        self.acc = np.zeros(shape)
+        self.n = 0
+        self.weights = []
+        self.rescales = {}
+
+    def add(self, term):
+        if self.n > 0:
+            self.logw = -self.lam + self.n * self.log_lam - math.lgamma(self.n + 1)
+            if self.n % 64 == 0 or self.logw > self.anchor + 600.0:
+                new_anchor = max(self.anchor, self.logw)
+                factor = math.exp(self.anchor - new_anchor)
+                if factor != 1.0:
+                    self.rescales[self.n] = factor
+                self.acc *= factor
+                self.anchor = new_anchor
+        w = math.exp(self.logw - self.anchor)
+        self.weights.append(w)
+        if w != 0.0:
+            self.acc += w * term
+        self.n += 1
+
+    def value(self):
+        return self.acc * math.exp(self.anchor)
+
+
+def _reference_uniformization_rows(mat, q_bar, t, s, rows):
+    b = mat.shape[0]
+    if sp.issparse(mat):
+        P = (sp.eye(b, format="csr") + mat.multiply(1.0 / (-q_bar))).tocsr()
+    else:
+        P = np.eye(b) + mat / (-q_bar)
+    series = _ScaledSeries((len(rows), b), -q_bar * t)
+    block = np.zeros((len(rows), b))
+    block[np.arange(len(rows)), rows] = 1.0
+    series.add(block)
+    for _ in range(s):
+        block = block @ P
+        series.add(block)
+    return series
+
+
+# (lam, s): weights underflowing to 0, renormalizations that keep the anchor,
+# and renormalizations that move it, many times over at lam = 1e4
+_SCHEDULE_CASES = [(0.5, 200), (20.0, 140), (700.0, 900), (1e4, 10600)]
+
+
+@pytest.mark.parametrize("storage", ["dense", "csr"])
+@pytest.mark.parametrize("lam, s", _SCHEDULE_CASES)
+def test_uniformization_rows_equal_the_term_by_term_series(lam, s, storage):
+    trmat = assemble(builtin_model("mmc", c=2), Truncation(
+        states=tuple((i,) for i in range(12))), [1.3, 0.7])
+    mat = trmat.matrix if storage == "dense" else sp.csr_matrix(trmat.matrix)
+    q_bar = 1.25 * trmat.q_bar
+    t = lam / -q_bar
+    rows = np.array([0, 4, 11])
+    want = _reference_uniformization_rows(mat, q_bar, t, s, rows)
+    got = rows_action("uniformization", mat, t, s, rows, q_bar=q_bar)
+    assert np.array_equal(got, want.value())
+    assert np.all(got > 0.0)
+    weights, rescales, anchor = expm._poisson_schedule(-q_bar * t, s)
+    assert np.array_equal(weights, want.weights)
+    assert dict(rescales) == want.rescales
+    assert anchor == want.anchor
+    if lam >= 700:
+        assert len(rescales) >= 5
+    if lam == 0.5:
+        assert weights[-1] == 0.0
+
+
+def test_poisson_schedule_jumps_its_anchor_between_renormalizations():
+    # at lam = 1e6 a log-weight passes the anchor by 600 before term 64
+    series = _ScaledSeries((1,), 1e6)
+    for _ in range(201):
+        series.add(np.ones(1))
+    weights, rescales, anchor = expm._poisson_schedule(1e6, 200)
+    assert any(n % 64 for n in rescales)
+    assert dict(rescales) == series.rescales
+    assert np.array_equal(weights, series.weights)
+    assert anchor == series.anchor
+
+
+def test_poisson_schedule_cache_is_bounded():
+    short = expm._poisson_schedule(20.0, 100)
+    assert expm._poisson_schedule(20.0, 100) is short
+    assert not short[0].flags.writeable
+    cached = expm._cached_poisson_weights.cache_info()
+    assert cached.maxsize is not None
+    assert expm.poisson_quantile.cache_info().maxsize is not None
+    s_long = expm._SCHEDULE_CACHE_TERMS + 1
+    long_ = expm._poisson_schedule(20.0, s_long)
+    assert expm._cached_poisson_weights.cache_info().currsize == cached.currsize
+    assert np.array_equal(long_[0][:101], short[0])
 
 
 # ---------------------------------------------------------------------------

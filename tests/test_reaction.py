@@ -75,6 +75,35 @@ def test_validate_theta_shape_and_sign():
     assert out.shape == (3,)
 
 
+@pytest.mark.parametrize("theta, accepted", [
+    (np.array([0.3, 0.4, 0.01]), True),
+    (np.array([0.3, -0.0, 0.01]), True),
+    (np.array([0.0, 0.0, 0.0]), True),
+    ([0.3, 0.4, 0.01], True),
+    (np.array([0.3, np.nan, 0.01]), False),
+    (np.array([0.3, np.inf, 0.01]), False),
+    (np.array([0.3, -np.inf, 0.01]), False),
+    (np.array([0.3, -1e-300, 0.01]), False),
+    (np.array([-2.0, 0.4, 0.01]), False),
+])
+def test_validate_theta_accepts_exactly_finite_nonnegative(theta, accepted):
+    net = builtin_model("lv3")
+    if accepted:
+        out = net.validate_theta(theta)
+        assert out.dtype == np.float64
+        assert np.array_equal(out, np.asarray(theta, dtype=float))
+    else:
+        with pytest.raises(ValueError, match="theta must be finite and nonnegative"):
+            net.validate_theta(theta)
+
+
+def test_validate_theta_rejects_a_wrong_shape():
+    net = builtin_model("lv3")
+    for theta in ([0.1, 0.2], [[0.1, 0.2, 0.3]], 0.5):
+        with pytest.raises(ValueError, match=r"theta must have shape \(3,\)"):
+            net.validate_theta(theta)
+
+
 def test_builtin_model_names():
     assert set(BUILTIN_MODELS) == {"ssir", "lv3", "lv4", "schloegl_bd", "mmc"}
     with pytest.raises(ValueError, match="unknown model"):

@@ -349,6 +349,40 @@ def test_assemble_equals_a_per_state_rate_row_build(assembly_ladders, data):
     _assert_bit_identical(ladder.net, ladder.level(level), theta)
 
 
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_leading_block_equals_assemble_on_the_lower_level(assembly_ladders, data):
+    # the estimator takes lower telescope levels as leading blocks of the
+    # top one; each must be what assemble builds there, storage included
+    ladder, top = data.draw(st.sampled_from(assembly_ladders))
+    hi = data.draw(st.integers(1, top))
+    lo = data.draw(st.integers(0, hi - 1))
+    theta = data.draw(st.lists(st.floats(0.05, 5.0), min_size=ladder.net.param_dim,
+                               max_size=ladder.net.param_dim))
+    got = assemble(ladder.net, ladder.level(hi), theta).leading_block(ladder.level(lo))
+    want = assemble(ladder.net, ladder.level(lo), theta)
+    assert got.truncation is want.truncation
+    assert got.is_dense == want.is_dense == (len(want.truncation) <= DENSE_LIMIT)
+    if want.is_dense:
+        assert np.array_equal(got.matrix, want.matrix)
+    else:
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got.matrix, attr), getattr(want.matrix, attr))
+    assert np.array_equal(got.diag, want.diag)
+    assert np.array_equal(got.deficit, want.deficit)
+    assert got.q_bar == want.q_bar
+    assert got.nnz == want.nnz
+
+
+def test_leading_block_needs_a_prefix():
+    net = builtin_model("mmc", c=1)
+    big = assemble(net, _wide_base(0, 5), [1.0, 2.0])
+    with pytest.raises(ValueError, match="not a prefix"):
+        big.leading_block(_wide_base(1, 3))
+    with pytest.raises(ValueError, match="not a prefix"):
+        big.leading_block(_wide_base(0, 6))
+
+
 def test_one_truncation_assembles_per_network():
     # the same truncation under two bounds: the capped net drops the birth
     # at state 3 from the diagonal, the uncapped one keeps it as a deficit

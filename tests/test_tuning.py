@@ -296,6 +296,7 @@ def test_ia_tuning_assembles_each_ladder_level_once(monkeypatch):
     tuned = tune_estimator(est, theta, p_min=0.9)
     # a ladder's level r is one truncation object, so distinct objects are
     # the distinct (ladder, level) pairs touched
+    assert assembled
     assert len(assembled) == len({id(tr) for tr in assembled})
     # sharing the cache leaves each target's tuning as it is alone
     for i, (x_from, x_to, dt) in enumerate(est.observations):
