@@ -51,6 +51,7 @@ from .tuning import (
     grid_select,
     laplace_covariance,
     map_estimate,
+    read_flat,
     tune_estimator,
     tuned_config_from_text,
     tuned_config_to_text,
@@ -107,19 +108,6 @@ def _strs(v) -> list:
     if isinstance(v, (list, tuple)):
         return [str(x) for x in v]
     return [x.strip() for x in str(v).split(",") if x.strip()]
-
-
-def _read_flat(text: str) -> dict:
-    pairs = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise _UsageError(f"malformed config line: {raw!r}")
-        key, value = line.split("=", 1)
-        pairs[key.strip()] = value.strip()
-    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +384,10 @@ def _estimator_config(cfg: dict, provided: set, tuned=None) -> EstimatorConfig:
             )
     else:
         q_bar = None
-    return replace(base, mode=mode, method=method, q_bar_global=q_bar)
+    try:
+        return replace(base, mode=mode, method=method, q_bar_global=q_bar)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
 
 
 def _schedule(cfg: dict) -> list:
@@ -489,6 +480,8 @@ def _cmd_sample(cfg: dict, provided: set) -> int:
     seed = _as_int(cfg["seed"])
     n_samples = _as_int(cfg["n"])
     n_chains = _as_int(cfg["chains"])
+    if n_samples < 1 or n_chains < 1:
+        raise _UsageError("--n and --chains must be at least 1")
     burnin = _as_float(cfg["burnin"])
 
     tuned = None
@@ -629,7 +622,11 @@ def main(argv=None) -> int:
         config_path = provided.pop("config", None)
         if config_path is not None:
             with open(config_path) as fh:
-                file_pairs = _read_flat(fh.read())
+                text = fh.read()
+            try:
+                file_pairs = read_flat(text)
+            except ValueError as exc:
+                raise _UsageError(str(exc)) from exc
             unknown = set(file_pairs) - set(resolved)
             if unknown:
                 raise _UsageError(

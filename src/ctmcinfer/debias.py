@@ -330,6 +330,14 @@ class LikelihoodEstimator:
             self.mode = "ra" if use_ra else "ia"
         else:
             self.mode = self.config.mode
+        if self.mode == "ia":
+            for name in ("sequences", "laws"):
+                given = getattr(self.config, name)
+                if given is not None and len(given) != len(bases):
+                    raise ValueError(
+                        f"config.{name} holds {len(given)} entries for a "
+                        f"dataset of {len(bases)} transitions"
+                    )
         # the keys of the independent telescope draws: None is every
         # observation on the merged ladder, i is observation i on its own
         self.targets = [None] if self.mode == "ra" else list(range(len(bases)))

@@ -36,6 +36,8 @@ __all__ = [
     "write_rows_csv",
 ]
 
+REFERENCE_TOL = 1e-13
+
 
 def oracle_expm(Q, t: float = 1.0, terms: int = 20) -> np.ndarray:
     """Reference exp(tQ) by scaling, 20-term Taylor, and squaring.
@@ -191,13 +193,12 @@ def bench_expm(classes=MATRIX_CLASSES, dims=(100,), ts=(1.0,),
 
 
 def truncation_study(net, theta, observations, k: float = ACCURACY_CAP,
-                     r_stop: int = 30, tol: float = 1e-13,
-                     r_cap: int = 200) -> list:
+                     r_stop: int = 30, r_cap: int = 200) -> list:
     """Truncation error of each observation's transition probability vs level.
 
     The reference value is the first level (up to r_cap) where growth changes
-    the value by less than tol at the accuracy cap. Rows report the shortfall
-    reference - value_r, which is nonnegative for these monotone schemes.
+    the value by less than REFERENCE_TOL at the accuracy cap. Rows report
+    the shortfall reference - value_r, nonnegative for these monotone schemes.
     Raises RuntimeError when an observation does not converge by r_cap,
     since without a reference no shortfall can be reported.
     """
@@ -217,12 +218,12 @@ def truncation_study(net, theta, observations, k: float = ACCURACY_CAP,
         values = [value(0)]
         for r_ref in range(1, r_cap + 1):
             values.append(value(r_ref))
-            if abs(values[r_ref] - values[r_ref - 1]) < tol:
+            if abs(values[r_ref] - values[r_ref - 1]) < REFERENCE_TOL:
                 break
         else:
             raise RuntimeError(
                 f"observation {idx} ({x_from} -> {x_to}): no level up to "
-                f"r_cap={r_cap} changes the value by less than tol={tol}"
+                f"r_cap={r_cap} changes the value by less than tol={REFERENCE_TOL}"
             )
         reference = values[r_ref]
         for r in range(0, min(r_stop, r_ref) + 1):

@@ -48,6 +48,10 @@ _RENORM_EVERY = 64
 # them, so the cache holds at most 64 * (_SCHEDULE_CACHE_TERMS + 1) floats
 _SCHEDULE_CACHE_TERMS = 16384
 
+# skeletoid_split's squaring cost weight: a guess, to be calibrated from
+# measured costs as in Al-Mohy & Higham 2011 (SIAM J. Sci. Comput. 33(2))
+SPLIT_BETA = 0.1
+
 
 class FlopMeter:
     """Accumulator for modeled matrix-multiplication FLOPs.
@@ -198,19 +202,19 @@ def skeletoid(Q, t: float, s: int, meter: FlopMeter | None = None) -> np.ndarray
     return rows_action("skeletoid", Q, t, s, np.arange(b), meter)
 
 
-def skeletoid_split(k: int, b: int, m: int, beta: float = 0.1) -> tuple:
+def skeletoid_split(k: int, b: int, m: int) -> tuple:
     """Split the total doubling count k into k1 squarings and 2^k2 row passes.
 
-    Minimizes the modeled cost beta*k1*b^3 + m*b^2*2^k2 over the two integers
+    Minimizes the modeled cost SPLIT_BETA*k1*b^3 + m*b^2*2^k2 over the two integers
     bracketing the real-valued optimum, then clamps into [0, k].
     """
     if k <= 0:
         return 0, 0
 
     def cost(k2):
-        return beta * (k - k2) * b**3 + m * b**2 * 2.0**k2
+        return SPLIT_BETA * (k - k2) * b**3 + m * b**2 * 2.0**k2
 
-    x_star = math.log2(beta * b / (math.log(2.0) * m))
+    x_star = math.log2(SPLIT_BETA * b / (math.log(2.0) * m))
     lo, hi = math.floor(x_star), math.ceil(x_star)
     k2 = lo if cost(lo) <= cost(hi) else hi
     k2 = max(0, min(k, k2))

@@ -32,6 +32,8 @@ __all__ = [
 # above this many states the assembled matrix is stored sparse
 DENSE_LIMIT = 512
 
+RA_STATE_FRACTION = 1.0 / 3.0
+
 
 class SeedPathError(ValueError):
     """No admissible path between a pair of observed states."""
@@ -144,6 +146,15 @@ class TruncationLadder:
 # seed paths
 
 
+def _pivot(T, basis, row, col):
+    """Make column col basic in row: scale the row, eliminate the column."""
+    T[row] /= T[row, col]
+    for i in range(T.shape[0]):
+        if i != row and T[i, col] != 0.0:
+            T[i] -= T[i, col] * T[row]
+    basis[row] = col
+
+
 def _pivot_loop(T, basis, cost, ncols, tol):
     """Bland-rule pivoting on an explicit tableau; T[:, -1] is the rhs."""
     m = T.shape[0]
@@ -169,11 +180,7 @@ def _pivot_loop(T, basis, cost, ncols, tol):
                     leave, best_ratio = i, ratio
         if leave < 0:
             raise ArithmeticError("linear program is unbounded")
-        T[leave] /= T[leave, enter]
-        for i in range(m):
-            if i != leave and T[i, enter] != 0.0:
-                T[i] -= T[i, enter] * T[leave]
-        basis[leave] = enter
+        _pivot(T, basis, leave, enter)
 
 
 def _solve_lp(A, b, tol=1e-9):
@@ -203,11 +210,7 @@ def _solve_lp(A, b, tol=1e-9):
             enter = next((j for j in range(n) if abs(T[i, j]) > tol), None)
             if enter is None:
                 continue
-            T[i] /= T[i, enter]
-            for k in range(T.shape[0]):
-                if k != i and T[k, enter] != 0.0:
-                    T[k] -= T[k, enter] * T[i]
-            basis[i] = enter
+            _pivot(T, basis, i, enter)
         keep.append(i)
     T = T[keep]
     basis = [basis[i] for i in keep]
@@ -475,6 +478,6 @@ def assemble(net: ReactionNetwork, trunc: Truncation, theta) -> TruncatedRateMat
     return _rate_matrix(trunc, tuple(entries), -rates.sum(axis=1))
 
 
-def ra_rule_of_thumb(sizes, merged_size: int, factor: float = 1.0 / 3.0) -> bool:
+def ra_rule_of_thumb(sizes, merged_size: int) -> bool:
     """True when one merged run beats per-observation runs on state count."""
-    return merged_size <= factor * float(np.sum(sizes))
+    return merged_size <= RA_STATE_FRACTION * float(np.sum(sizes))

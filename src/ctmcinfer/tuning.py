@@ -44,12 +44,18 @@ __all__ = [
     "SIGMA_BAR_GRID",
     "tuned_config_to_text",
     "tuned_config_from_text",
+    "read_flat",
 ]
 
 P_MIN_GRID = (0.0, 0.01, 0.1, 0.2, 0.4, 0.6, 0.8, 0.9)
 SIGMA_BAR_GRID = (0.1, 1.0, 1.5, 2.0)
 P_CLAMP = (0.4, 0.9)
 K_START = -10
+R_EXPLORE = 15
+SIGMA_DEFAULT = 0.1
+MAP_BRACKET = (0.25, 4.0)
+LAPLACE_REL_STEP = 1e-3
+ALPHA_FACTORS = (0.5, 1.0, 2.0)
 
 # relative decrease forgiven while walking supposedly nondecreasing profiles
 _REL_SLACK = 1e-9
@@ -73,7 +79,7 @@ class ConvergenceProfile:
     k_start: int = K_START
 
 
-def profile(value_fn, eps: float = 1e-8, r_explore: int = 15,
+def profile(value_fn, eps: float = 1e-8, r_explore: int = R_EXPLORE,
             r_cap: int = 200) -> ConvergenceProfile:
     """Scan the truncation level, then the accuracy exponent, to convergence.
 
@@ -151,16 +157,16 @@ def offset_from_profile(values, a_star: float, p_min: float) -> int:
 
 
 def tune_sigma(value_fn, prof: ConvergenceProfile, trunc_offset: int,
-               acc_offset: float, sigma_default: float = 0.1) -> float:
+               acc_offset: float) -> float:
     """Slope of accuracy against level along the joint sequence.
 
-    Starts from the profile aspect ratio (at least sigma_default) and doubles
+    Starts from the profile aspect ratio (at least SIGMA_DEFAULT) and doubles
     whenever the joint walk decreases while still below the profiled accuracy
     ceiling, so accuracy error never dominates the truncation gain.
     """
     if prof.k_eps <= acc_offset:
-        return sigma_default
-    sigma = max(sigma_default,
+        return SIGMA_DEFAULT
+    sigma = max(SIGMA_DEFAULT,
                 (prof.r_eps - trunc_offset) / (prof.k_eps - acc_offset))
     n = 0
     a_old = 0.0
@@ -257,15 +263,15 @@ class TunedConfig:
         )
 
 
-def _tune_target(value_fn, p_min: float, eps: float, r_explore: int,
-                 sigma_default: float, prof: ConvergenceProfile | None = None):
+def _tune_target(value_fn, p_min: float, eps: float,
+                 prof: ConvergenceProfile | None = None):
     """Offsets, slope, and law for one estimator target."""
     if prof is None:
-        prof = profile(value_fn, eps=eps, r_explore=r_explore)
+        prof = profile(value_fn, eps=eps)
     trunc_offset = offset_from_profile(prof.trunc_values, prof.a_star, p_min)
     k_idx = offset_from_profile(prof.acc_values, prof.a_star, p_min)
     acc_offset = float(prof.k_start + k_idx)
-    sigma = tune_sigma(value_fn, prof, trunc_offset, acc_offset, sigma_default)
+    sigma = tune_sigma(value_fn, prof, trunc_offset, acc_offset)
 
     # re-place the offsets along the joint walk itself, then fit the law to
     # the joint difference decay
@@ -282,9 +288,7 @@ def _tune_target(value_fn, p_min: float, eps: float, r_explore: int,
 
 
 def tune_estimator(estimator: LikelihoodEstimator, theta, p_min: float = 0.9,
-                   eps: float = 1e-8, r_explore: int = 15,
-                   sigma_default: float = 0.1,
-                   profiles: list | None = None) -> TunedConfig:
+                   eps: float = 1e-8, profiles: list | None = None) -> TunedConfig:
     """Tune every sequence the estimator needs at the given parameter point.
 
     profiles, when given, are reused across calls (they do not depend on
@@ -297,8 +301,7 @@ def tune_estimator(estimator: LikelihoodEstimator, theta, p_min: float = 0.9,
     for j, key in enumerate(estimator.targets):
         f = estimator.value_fn(theta, key, mat_cache=mat_cache)
         prof = profiles[j] if profiles else None
-        seq, law, prof = _tune_target(f, p_min, eps, r_explore, sigma_default,
-                                      prof)
+        seq, law, prof = _tune_target(f, p_min, eps, prof)
         seqs.append(seq)
         laws.append(law)
         tuned_profiles.append(prof)
@@ -347,8 +350,7 @@ def _golden(f, lo: float, hi: float, tol: float = 1e-3, max_iter: int = 40):
 
 
 def map_estimate(estimator: LikelihoodEstimator, prior: Prior, theta0,
-                 eps: float = 1e-8, r_explore: int = 15, sweeps: int = 2,
-                 bracket: tuple = (0.25, 4.0)) -> np.ndarray:
+                 eps: float = 1e-8, sweeps: int = 2) -> np.ndarray:
     """Posterior mode by coordinate-wise golden-section search.
 
     The objective is the deterministic approximate log-likelihood at the
@@ -356,8 +358,7 @@ def map_estimate(estimator: LikelihoodEstimator, prior: Prior, theta0,
     coordinate over a multiplicative bracket around its current value.
     """
     theta = np.asarray(theta0, dtype=float).copy()
-    prof = profile(estimator.value_fn(theta, estimator.targets[0]), eps=eps,
-                   r_explore=r_explore)
+    prof = profile(estimator.value_fn(theta, estimator.targets[0]), eps=eps)
     r_eps, k_eps = prof.r_eps, prof.k_eps
 
     def neg_log_post(th):
@@ -373,13 +374,12 @@ def map_estimate(estimator: LikelihoodEstimator, prior: Prior, theta0,
                 trial[j] = v
                 return neg_log_post(trial)
 
-            theta[j] = _golden(along, theta[j] * bracket[0], theta[j] * bracket[1])
+            theta[j] = _golden(along, *(theta[j] * f for f in MAP_BRACKET))
     return theta
 
 
 def laplace_covariance(estimator: LikelihoodEstimator, prior: Prior, theta,
-                       r: int | None = None, k: float | None = None,
-                       rel_step: float = 1e-3) -> np.ndarray:
+                       r: int | None = None, k: float | None = None) -> np.ndarray:
     """Gaussian-approximation covariance at a posterior mode.
 
     Finite-difference Hessian of the deterministic log posterior, negated and
@@ -400,7 +400,7 @@ def laplace_covariance(estimator: LikelihoodEstimator, prior: Prior, theta,
         return lp + estimator.deterministic_log_likelihood(th, r, k)
 
     dim = theta.size
-    h = rel_step * np.maximum(np.abs(theta), 1e-8)
+    h = LAPLACE_REL_STEP * np.maximum(np.abs(theta), 1e-8)
     base = logpost(theta)
     hess = np.zeros((dim, dim))
 
@@ -428,7 +428,7 @@ def laplace_covariance(estimator: LikelihoodEstimator, prior: Prior, theta,
 def grid_select(net, dataset, prior: Prior, theta_map, v_hat,
                 base_config: EstimatorConfig | None = None,
                 p_min_grid=P_MIN_GRID, sigma_bars=SIGMA_BAR_GRID,
-                alpha_grid=None, n_draws: int = 100, short_run: int = 200,
+                n_draws: int = 100, short_run: int = 200,
                 seed: int = 0, eps: float = 1e-8) -> TunedConfig:
     """Full grid stage: noise-floor grid, cost filter, proposal-scale choice.
 
@@ -443,10 +443,8 @@ def grid_select(net, dataset, prior: Prior, theta_map, v_hat,
     base_config = base_config or EstimatorConfig()
     base_est = LikelihoodEstimator(net, dataset, base_config)
     theta_map = np.asarray(theta_map, dtype=float)
-    dim = theta_map.size
     v_hat = np.asarray(v_hat, dtype=float)
-    if alpha_grid is None:
-        alpha_grid = tuple((2.38**2 / dim) * f for f in (0.5, 1.0, 2.0))
+    alpha_grid = tuple((2.38**2 / theta_map.size) * f for f in ALPHA_FACTORS)
 
     profiles = None
     candidates = []
@@ -506,6 +504,20 @@ def grid_select(net, dataset, prior: Prior, theta_map, v_hat,
 # flat key-value serialization (consumed by the command line)
 
 
+def read_flat(text: str) -> dict:
+    """key = value pairs of a flat config; blank and '#' lines are skipped."""
+    pairs = {}
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"malformed config line: {raw!r}")
+        key, value = line.split("=", 1)
+        pairs[key.strip()] = value.strip()
+    return pairs
+
+
 def _seq_lines(prefix: str, seq: JointSequence, law: GeometricLaw) -> list:
     return [
         f"{prefix}trunc_offset = {seq.trunc_offset}",
@@ -535,27 +547,15 @@ def tuned_config_to_text(cfg: TunedConfig) -> str:
 
 
 def tuned_config_from_text(text: str) -> TunedConfig:
-    pairs = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"malformed config line: {raw!r}")
-        key, value = line.split("=", 1)
-        pairs[key.strip()] = value.strip()
-
-    def pop(key, default=None):
-        return pairs.pop(key, default)
-
-    mode = pop("mode", "auto")
-    method = pop("method", "skeletoid")
-    p_min = float(pop("p_min", "0.9"))
-    sigma_zeta = pop("sigma_zeta")
+    pairs = read_flat(text)
+    mode = pairs.pop("mode", "auto")
+    method = pairs.pop("method", "skeletoid")
+    p_min = float(pairs.pop("p_min", "0.9"))
+    sigma_zeta = pairs.pop("sigma_zeta", None)
     sigma_zeta = float(sigma_zeta) if sigma_zeta is not None else None
-    q_bar_global = pop("q_bar_global")
+    q_bar_global = pairs.pop("q_bar_global", None)
     q_bar_global = float(q_bar_global) if q_bar_global is not None else None
-    proposal_cov = pop("proposal_cov")
+    proposal_cov = pairs.pop("proposal_cov", None)
     if proposal_cov is not None:
         cov = [[float(v) for v in row.split(",")]
                for row in proposal_cov.split(";")]

@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from ctmcinfer import cli, truncation_study
 from ctmcinfer.cli import argv_from_manifest, main
@@ -140,6 +141,28 @@ def test_global_uniformization_requires_qbar(tmp_path, capsys):
     assert "qbar" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["tune", "sample"])
+@pytest.mark.parametrize("flag", ["--mode", "--method"])
+def test_unknown_mode_or_method_exits_2(tmp_path, capsys, command, flag):
+    data = _simulate(tmp_path)
+    tune_only = ["--theta-init", "0.8,0.6", "--no-map"] if command == "tune" else []
+    rc = main([command, *QUEUE_FLAGS, "--data", str(data), *tune_only,
+               flag, "bogus", "--out", str(tmp_path / "out.txt")])
+    assert rc == 2
+    assert "usage error: unknown" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--n", "--chains"])
+def test_sample_rejects_empty_runs_before_writing(tmp_path, capsys, flag):
+    data = _simulate(tmp_path)
+    before = set(tmp_path.iterdir())
+    rc = main(["sample", *QUEUE_FLAGS, "--data", str(data), flag, "0",
+               "--out", str(tmp_path / "t.csv")])
+    assert rc == 2
+    assert "at least 1" in capsys.readouterr().err
+    assert set(tmp_path.iterdir()) == before
+
+
 def test_bench_writes_rows(tmp_path):
     out = tmp_path / "bench.csv"
     rc = main(["bench", "--class", "dense,gtr", "--dim", "6", "--t", "0.5",
@@ -259,6 +282,26 @@ def test_tune_quick_path_then_tuned_sampling(tmp_path, capsys):
                "--theta-init", "0.8,0.6", "--out", str(trace_path)])
     assert rc == 0
     assert read_trace(trace_path).n_iterations == 40
+
+
+def test_tuned_config_from_another_dataset_exits_1(tmp_path, capsys):
+    short = tmp_path / "short.csv"
+    assert main(["simulate", *QUEUE_FLAGS, "--theta", "0.8,0.6", "--x0", "0",
+                 "--tend", "1.0", "--dt", "0.5", "--out", str(short)]) == 0
+    tuned_path = tmp_path / "tuned.cfg"
+    rc = main(["tune", *QUEUE_FLAGS, "--data", str(short),
+               "--theta-init", "0.8,0.6", "--no-map", "--mode", "ia",
+               "--n-draws", "8", "--out", str(tuned_path)])
+    assert rc == 0
+    capsys.readouterr()
+
+    rc = main(["sample", *QUEUE_FLAGS, "--data", str(_simulate(tmp_path)),
+               "--tuned-config", str(tuned_path), "--n", "5",
+               "--out", str(tmp_path / "t.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: config.sequences holds 2 entries" in err
+    assert "dataset of 4 transitions" in err
 
 
 def test_argv_from_manifest_formats_flags():

@@ -295,6 +295,17 @@ def test_estimator_rejects_mismatched_data():
         LikelihoodEstimator(capped, _queue_dataset([[1], [7]]))
 
 
+def test_estimator_rejects_per_observation_settings_of_another_length():
+    net = builtin_model("mmc", c=2)
+    data = _queue_dataset([[1], [2], [1], [2], [3], [2]])
+    for name, two in (("sequences", (JointSequence(),) * 2),
+                      ("laws", (GeometricLaw(0.5),) * 2)):
+        config = EstimatorConfig(mode="ia", **{name: two})
+        with pytest.raises(ValueError, match=f"{name} holds 2 entries for a "
+                                             "dataset of 5 transitions"):
+            LikelihoodEstimator(net, data, config)
+
+
 def test_estimator_reports_which_observation_is_unreachable():
     birth_only = ReactionNetwork(
         update_matrix=np.array([[1]]),
