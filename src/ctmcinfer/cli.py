@@ -28,6 +28,7 @@ from .datasets import read_dataset, write_dataset
 from .debias import EstimatorConfig, LikelihoodEstimator, MonotonicityError
 from .diagnostics import (
     MATRIX_CLASSES,
+    MIN_ESS_DRAWS,
     bench_expm,
     ess,
     truncation_study,
@@ -374,6 +375,10 @@ def _estimator_config(cfg: dict, provided: set, tuned=None) -> EstimatorConfig:
     """Estimator settings from tuned file and flags; explicit flags win."""
     base = EstimatorConfig() if tuned is None else tuned.to_estimator_config()
     mode = str(cfg["mode"]) if tuned is None or "mode" in provided else base.mode
+    # the tuned sequences and laws belong to the tuned target layout
+    if tuned is not None and base.mode in ("ia", "ra") and mode != base.mode:
+        raise _UsageError(f"--mode {mode} contradicts the tuned config's "
+                          f"mode {base.mode}")
     method = (str(cfg["method"]) if tuned is None or "method" in provided
               else base.method)
     q_bar = base.q_bar_global if cfg["qbar"] is None else _as_float(cfg["qbar"])
@@ -438,6 +443,9 @@ def _cmd_tune(cfg: dict, provided: set) -> int:
     out = Path(_require(cfg, "out"))
     seed = _as_int(cfg["seed"])
     eps = _as_float(cfg["eps"])
+    n_draws = _as_int(cfg["n_draws"])
+    if n_draws < 2:
+        raise _UsageError("--n-draws must be at least 2 to measure a spread")
 
     base_config = _estimator_config(cfg, provided)
     estimator = LikelihoodEstimator(net, dataset, base_config)
@@ -452,7 +460,7 @@ def _cmd_tune(cfg: dict, provided: set) -> int:
         v_hat = laplace_covariance(estimator, prior, theta)
         tuned = grid_select(
             net, dataset, prior, theta, v_hat, base_config,
-            n_draws=_as_int(cfg["n_draws"]),
+            n_draws=n_draws,
             short_run=_as_int(cfg["short_run"]),
             seed=seed, eps=eps,
         )
@@ -461,7 +469,7 @@ def _cmd_tune(cfg: dict, provided: set) -> int:
                                p_min=_as_float(cfg["p_min"]), eps=eps)
         noisy = LikelihoodEstimator(net, dataset, tuned.to_estimator_config())
         sigma_zeta = estimate_sigma_zeta(
-            noisy, theta, n_draws=_as_int(cfg["n_draws"]), seed=seed,
+            noisy, theta, n_draws=n_draws, seed=seed,
         )
         tuned = replace(tuned, sigma_zeta=sigma_zeta)
 
@@ -483,6 +491,11 @@ def _cmd_sample(cfg: dict, provided: set) -> int:
     if n_samples < 1 or n_chains < 1:
         raise _UsageError("--n and --chains must be at least 1")
     burnin = _as_float(cfg["burnin"])
+    if not 0.0 <= burnin < 1.0:
+        raise _UsageError("--burnin must lie in [0, 1)")
+    if n_samples - int(n_samples * burnin) < MIN_ESS_DRAWS:
+        raise _UsageError(f"--burnin {burnin} leaves fewer than {MIN_ESS_DRAWS} "
+                          f"of {n_samples} draws for the summary")
 
     tuned = None
     if cfg["tuned_config"] is not None:
@@ -509,12 +522,11 @@ def _cmd_sample(cfg: dict, provided: set) -> int:
 
     if n_chains == 1:
         traces = [sample_chain(estimator, prior, proposal_cov, n_samples,
-                               seed, theta_init=theta_init, meter=FlopMeter(),
-                               config_snapshot=_jsonable(cfg))]
+                               seed, theta_init=theta_init, meter=FlopMeter())]
     else:
         traces = multistart(estimator, prior, proposal_cov, n_samples,
                             n_chains, seed, theta_init=theta_init,
-                            n_threads=threads, config_snapshot=_jsonable(cfg))
+                            n_threads=threads)
 
     paths = _chain_paths(out, n_chains)
     for trace, path in zip(traces, paths):

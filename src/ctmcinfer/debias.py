@@ -305,11 +305,10 @@ class LikelihoodEstimator:
         self.config = config or EstimatorConfig()
         if dataset.n_species != net.n_species:
             raise ValueError("dataset and network disagree on species count")
-        for i in range(dataset.states.shape[0]):
-            if not net.in_bounds(dataset.states[i]):
-                raise ValueError(
-                    f"observed state {tuple(dataset.states[i])} lies outside the bounds"
-                )
+        outside = np.flatnonzero(~net.in_bounds(dataset.states))
+        if outside.size:
+            raise ValueError(f"observed state {tuple(dataset.states[outside[0]])} "
+                             "lies outside the bounds")
         self.observations = list(dataset.intervals())
         bases = []
         for i, (x_from, x_to, _) in enumerate(self.observations):

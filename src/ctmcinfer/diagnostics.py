@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 REFERENCE_TOL = 1e-13
+# fewest draws a batch-means ESS accepts
+MIN_ESS_DRAWS = 4
 
 
 def oracle_expm(Q, t: float = 1.0, terms: int = 20) -> np.ndarray:
@@ -76,8 +78,9 @@ def ess(x) -> float:
     if x.ndim == 1:
         x = x[:, None]
     n = x.shape[0]
-    if n < 4:
-        raise ValueError("need at least 4 draws for a batch-means estimate")
+    if n < MIN_ESS_DRAWS:
+        raise ValueError(f"need at least {MIN_ESS_DRAWS} draws for a "
+                         "batch-means estimate")
     b = int(math.floor(math.sqrt(n)))
     a = n // b
     out = math.inf

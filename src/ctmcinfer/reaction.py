@@ -89,12 +89,16 @@ class ReactionNetwork:
     def n_species(self) -> int:
         return self.update_matrix.shape[1]
 
-    def in_bounds(self, x) -> bool:
+    def in_bounds(self, x):
+        """Whether x lies inside the box bounds.
+
+        x is one state, answered with a bool, or an (n, n_species) array of
+        states, answered with one bool per row.
+        """
         x = np.asarray(x)
-        return bool(
-            np.all(x >= np.asarray(self.lower_bounds))
-            and np.all(x <= np.asarray(self.upper_bounds))
-        )
+        inside = ((x >= np.asarray(self.lower_bounds))
+                  & (x <= np.asarray(self.upper_bounds))).all(axis=-1)
+        return inside if x.ndim > 1 else bool(inside)
 
     def validate_theta(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
@@ -118,11 +122,9 @@ class ReactionNetwork:
         if not self.in_bounds(x):
             raise ValueError(f"state {tuple(x)} outside the state-space bounds")
         rates = np.zeros(self.n_reactions)
-        lo = np.asarray(self.lower_bounds)
-        hi = np.asarray(self.upper_bounds, dtype=float)
+        inside = self.in_bounds(x + self.update_matrix)
         for r in range(self.n_reactions):
-            target = x + self.update_matrix[r]
-            if np.all(target >= lo) and np.all(target <= hi):
+            if inside[r]:
                 v = float(self.propensities[r](x, theta))
                 if v < 0:
                     raise ValueError(f"negative propensity {v} for reaction {r} at {tuple(x)}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -110,8 +110,6 @@ class Trace:
     log_estimates: np.ndarray
     accepted: np.ndarray
     cum_gflops: np.ndarray
-    seed: object = None
-    config: dict = field(default_factory=dict)
 
     @property
     def n_iterations(self) -> int:
@@ -139,8 +137,7 @@ def _proposal_cholesky(proposal_cov, dim: int) -> np.ndarray:
 
 
 def sample_chain(estimator, prior: Prior, proposal_cov, n_samples: int,
-                 seed, theta_init=None, meter: FlopMeter | None = None,
-                 config_snapshot: dict | None = None) -> Trace:
+                 seed, theta_init=None, meter: FlopMeter | None = None) -> Trace:
     """Run one pseudo-marginal random-walk Metropolis chain.
 
     estimator must expose log_estimate(theta, rng, meter) returning an
@@ -195,14 +192,11 @@ def sample_chain(estimator, prior: Prior, proposal_cov, n_samples: int,
         log_estimates=log_estimates,
         accepted=accepted,
         cum_gflops=cum_gflops,
-        seed=seed if not isinstance(seed, np.random.SeedSequence) else None,
-        config=dict(config_snapshot or {}),
     )
 
 
 def multistart(estimator, prior: Prior, proposal_cov, n_samples: int,
-               n_chains: int, seed, theta_init=None, n_threads: int = 1,
-               config_snapshot: dict | None = None) -> list:
+               n_chains: int, seed, theta_init=None, n_threads: int = 1) -> list:
     """Independent chains from spawned RNG streams; optional thread pool.
 
     Chains share the estimator (truncation ladders grow under a lock); each
@@ -212,10 +206,8 @@ def multistart(estimator, prior: Prior, proposal_cov, n_samples: int,
     children = root.spawn(n_chains)
 
     def one(child):
-        return sample_chain(
-            estimator, prior, proposal_cov, n_samples, child,
-            theta_init=theta_init, config_snapshot=config_snapshot,
-        )
+        return sample_chain(estimator, prior, proposal_cov, n_samples, child,
+                            theta_init=theta_init)
 
     if n_threads > 1:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:

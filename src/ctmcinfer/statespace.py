@@ -68,15 +68,15 @@ class Truncation:
         return self._index[tuple(int(v) for v in state)]
 
 
+def _first_seen(states) -> tuple:
+    """The states in the given order, each kept where it first appears."""
+    return tuple(dict.fromkeys(states))
+
+
 def default_directions(n_species: int) -> np.ndarray:
     """Unit steps +e_j, -e_j for each species, in species order."""
-    dirs = []
-    for j in range(n_species):
-        e = np.zeros(n_species, dtype=np.int64)
-        e[j] = 1
-        dirs.append(e.copy())
-        dirs.append(-e)
-    return np.asarray(dirs)
+    eye = np.eye(n_species, dtype=np.int64)
+    return np.stack([eye, -eye], axis=1).reshape(-1, n_species)
 
 
 def grow(trunc: Truncation, net: ReactionNetwork) -> Truncation:
@@ -85,21 +85,11 @@ def grow(trunc: Truncation, net: ReactionNetwork) -> Truncation:
     New states appear in parent-state order, then direction order, so the
     parent truncation is an index prefix of the result.
     """
-    directions = default_directions(net.n_species)
-    lo = np.asarray(net.lower_bounds)
-    hi = np.asarray(net.upper_bounds, dtype=float)
-    out = list(trunc.states)
-    seen = set(trunc.states)
-    for s in trunc.states:
-        base = np.asarray(s, dtype=np.int64)
-        for d in directions:
-            cand = base + d
-            if np.all(cand >= lo) and np.all(cand <= hi):
-                key = tuple(int(v) for v in cand)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(key)
-    return Truncation(tuple(out), level=trunc.level + 1)
+    n = net.n_species
+    cands = (np.array(trunc.states, dtype=np.int64)[:, None, :]
+             + default_directions(n)[None]).reshape(-1, n)
+    kept = map(tuple, cands[net.in_bounds(cands)].tolist())
+    return Truncation(_first_seen((*trunc.states, *kept)), level=trunc.level + 1)
 
 
 def merge(truncs) -> Truncation:
@@ -107,14 +97,8 @@ def merge(truncs) -> Truncation:
     truncs = list(truncs)
     if not truncs:
         raise ValueError("merge needs at least one truncation")
-    out = []
-    seen = set()
-    for tr in truncs:
-        for s in tr.states:
-            if s not in seen:
-                seen.add(s)
-                out.append(s)
-    return Truncation(tuple(out), level=max(tr.level for tr in truncs))
+    return Truncation(_first_seen(s for tr in truncs for s in tr.states),
+                      level=max(tr.level for tr in truncs))
 
 
 class TruncationLadder:
@@ -267,8 +251,6 @@ def seed_path(net: ReactionNetwork, x_from, x_to) -> list:
     """
     counts = seed_reaction_counts(net, x_from, x_to)
     x_from = np.asarray(x_from, dtype=np.int64)
-    lo = np.asarray(net.lower_bounds)
-    hi = np.asarray(net.upper_bounds, dtype=float)
     path = [tuple(int(v) for v in x_from)]
     failed = set()
 
@@ -278,17 +260,17 @@ def seed_path(net: ReactionNetwork, x_from, x_to) -> list:
         key = (tuple(int(v) for v in state), tuple(rem))
         if key in failed:
             return False
+        targets = state + net.update_matrix
+        inside = net.in_bounds(targets)
         for r in range(net.n_reactions):
-            if rem[r] == 0:
+            if rem[r] == 0 or not inside[r]:
                 continue
-            nxt = state + net.update_matrix[r]
-            if np.all(nxt >= lo) and np.all(nxt <= hi):
-                path.append(tuple(int(v) for v in nxt))
-                rem[r] -= 1
-                if walk(nxt, rem):
-                    return True
-                rem[r] += 1
-                path.pop()
+            path.append(tuple(int(v) for v in targets[r]))
+            rem[r] -= 1
+            if walk(targets[r], rem):
+                return True
+            rem[r] += 1
+            path.pop()
         failed.add(key)
         return False
 
@@ -301,13 +283,7 @@ def seed_path(net: ReactionNetwork, x_from, x_to) -> list:
 
 def seed_truncation(net: ReactionNetwork, x_from, x_to) -> Truncation:
     """Level-0 truncation holding the states of a seed path (deduplicated)."""
-    states = []
-    seen = set()
-    for s in seed_path(net, x_from, x_to):
-        if s not in seen:
-            seen.add(s)
-            states.append(s)
-    return Truncation(tuple(states), level=0)
+    return Truncation(_first_seen(seed_path(net, x_from, x_to)), level=0)
 
 
 # ---------------------------------------------------------------------------
@@ -381,10 +357,7 @@ class _Stencil:
 
     def __init__(self, net: ReactionNetwork, trunc: Truncation):
         states = np.array(trunc.states, dtype=np.int64)
-        lo = np.asarray(net.lower_bounds)
-        hi = np.asarray(net.upper_bounds, dtype=float)
-        outside = np.flatnonzero(~(np.all(states >= lo, axis=1)
-                                   & np.all(states <= hi, axis=1)))
+        outside = np.flatnonzero(~net.in_bounds(states))
         if outside.size:
             raise ValueError(f"state {tuple(states[outside[0]])} outside the "
                              "state-space bounds")
@@ -395,8 +368,7 @@ class _Stencil:
         self.channels = []
         for u, reactions in channels.items():
             targets = states + np.asarray(u, dtype=np.int64)
-            rows = np.flatnonzero(np.all(targets >= lo, axis=1)
-                                  & np.all(targets <= hi, axis=1))
+            rows = np.flatnonzero(net.in_bounds(targets))
             cols = np.array([trunc._index.get(tuple(t), -1)
                              for t in targets[rows].tolist()], dtype=np.int64)
             self.channels.append((tuple(reactions), rows, cols))

@@ -110,7 +110,8 @@ def profile(value_fn, eps: float = 1e-8, r_explore: int = R_EXPLORE,
     delta = math.inf
     ref = a_star if a_star > 0 else 1.0
     while delta >= eps and k <= ACCURACY_CAP:
-        a_new = float(value_fn(r_eps, k))
+        # the level scan's last point is (r_eps, k_high)
+        a_new = a_star if k == k_high else float(value_fn(r_eps, k))
         acc_values.append(a_new)
         delta = (a_star - a_new) / ref
         k += 1
@@ -319,6 +320,9 @@ def tune_estimator(estimator: LikelihoodEstimator, theta, p_min: float = 0.9,
 def estimate_sigma_zeta(estimator: LikelihoodEstimator, theta, n_draws: int = 100,
                         seed: int = 0, meter: FlopMeter | None = None) -> float:
     """Standard deviation of the log-estimate at theta over n_draws draws."""
+    if n_draws < 2:
+        raise ValueError(f"n_draws={n_draws}: a standard deviation needs at "
+                         "least 2 draws")
     rng = np.random.default_rng(seed)
     draws = np.empty(n_draws)
     for i in range(n_draws):

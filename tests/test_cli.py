@@ -163,6 +163,26 @@ def test_sample_rejects_empty_runs_before_writing(tmp_path, capsys, flag):
     assert set(tmp_path.iterdir()) == before
 
 
+@pytest.mark.parametrize("n, burnin", [(20, "1.0"), (20, "-0.1"), (20, "0.85"),
+                                      (3, "0.0")])
+def test_sample_rejects_burnin_leaving_too_few_draws(tmp_path, capsys, n, burnin):
+    data = _simulate(tmp_path)
+    before = set(tmp_path.iterdir())
+    rc = main(["sample", *QUEUE_FLAGS, "--data", str(data), "--n", str(n),
+               "--burnin", burnin, "--out", str(tmp_path / "t.csv")])
+    assert rc == 2
+    assert "usage error: --burnin" in capsys.readouterr().err
+    assert set(tmp_path.iterdir()) == before
+
+
+def test_sample_accepts_burnin_leaving_four_draws(tmp_path, capsys):
+    data = _simulate(tmp_path)
+    rc = main(["sample", *QUEUE_FLAGS, "--data", str(data), "--n", "20",
+               "--burnin", "0.8", "--out", str(tmp_path / "t.csv")])
+    assert rc == 0
+    assert "chain 1:" in capsys.readouterr().out
+
+
 def test_bench_writes_rows(tmp_path):
     out = tmp_path / "bench.csv"
     rc = main(["bench", "--class", "dense,gtr", "--dim", "6", "--t", "0.5",
@@ -282,6 +302,43 @@ def test_tune_quick_path_then_tuned_sampling(tmp_path, capsys):
                "--theta-init", "0.8,0.6", "--out", str(trace_path)])
     assert rc == 0
     assert read_trace(trace_path).n_iterations == 40
+
+
+@pytest.mark.parametrize("tuned_mode, flag_mode", [("ia", "ra"), ("ra", "ia")])
+def test_sample_mode_contradicting_the_tuned_config_exits_2(
+        tmp_path, capsys, tuned_mode, flag_mode):
+    data = _simulate(tmp_path)
+    tuned_path = tmp_path / "tuned.cfg"
+    rc = main(["tune", *QUEUE_FLAGS, "--data", str(data),
+               "--theta-init", "0.8,0.6", "--no-map", "--mode", tuned_mode,
+               "--n-draws", "4", "--out", str(tuned_path)])
+    assert rc == 0
+    capsys.readouterr()
+
+    before = set(tmp_path.iterdir())
+    rc = main(["sample", *QUEUE_FLAGS, "--data", str(data),
+               "--tuned-config", str(tuned_path), "--mode", flag_mode,
+               "--n", "20", "--out", str(tmp_path / "t.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"--mode {flag_mode}" in err and f"mode {tuned_mode}" in err
+    assert set(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("n_draws", ["0", "1"])
+def test_tune_rejects_fewer_than_two_draws(tmp_path, capsys, monkeypatch, n_draws):
+    def no_map(*args, **kwargs):
+        raise AssertionError("MAP ran before the draw count was checked")
+
+    monkeypatch.setattr(cli, "map_estimate", no_map)
+    data = _simulate(tmp_path)
+    out = tmp_path / "tuned.cfg"
+    rc = main(["tune", *QUEUE_FLAGS, "--data", str(data),
+               "--theta-init", "0.8,0.6", "--n-draws", n_draws,
+               "--out", str(out)])
+    assert rc == 2
+    assert "usage error: --n-draws" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_tuned_config_from_another_dataset_exits_1(tmp_path, capsys):

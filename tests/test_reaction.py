@@ -150,3 +150,36 @@ def test_rate_row_is_conservative(s, i, r, theta):
     assert all(v >= 0 for v in row.targets.values())
     assert row.diagonal <= 0
     assert sum(row.targets.values()) + row.diagonal <= 1e-12
+
+
+@st.composite
+def _box_and_states(draw):
+    n_spec = draw(st.integers(1, 3))
+    lo = [draw(st.integers(-3, 3)) for _ in range(n_spec)]
+    width = [draw(st.one_of(st.none(), st.integers(0, 4))) for _ in range(n_spec)]
+    hi = [None if w is None else l + w for l, w in zip(lo, width)]
+    # offsets reach past each finite bound by up to two on either side
+    reach = [6 if w is None else w + 2 for w in width]
+    n = draw(st.integers(0, 8))
+    states = [[l + draw(st.integers(-2, r)) for l, r in zip(lo, reach)]
+              for _ in range(n)]
+    return lo, hi, np.array(states, dtype=np.int64).reshape(n, n_spec)
+
+
+@given(_box_and_states())
+@settings(max_examples=200, deadline=None)
+def test_in_bounds_on_an_array_equals_row_by_row(case):
+    lo, hi, states = case
+    n_spec = len(lo)
+    net = ReactionNetwork(
+        update_matrix=np.eye(n_spec, dtype=np.int64),
+        propensities=tuple((lambda x, th: 1.0) for _ in range(n_spec)),
+        lower_bounds=tuple(lo), upper_bounds=tuple(hi), param_dim=1,
+    )
+    rows = [net.in_bounds(x) for x in states]
+    assert all(type(v) is bool for v in rows)
+    assert rows == [all(l <= v and (h is None or v <= h)
+                        for v, l, h in zip(x, lo, hi)) for x in states.tolist()]
+    inside = net.in_bounds(states)
+    assert inside.shape == (states.shape[0],)
+    assert inside.tolist() == rows

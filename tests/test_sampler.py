@@ -249,8 +249,7 @@ def test_multistart_threaded_matches_serial():
 def test_trace_round_trip_is_exact(tmp_path):
     prior = Prior.iid(GammaPrior(2.0, 2.0), 2)
     est = _NoisyEstimator([1.0, 1.0], 0.2)
-    trace = sample_chain(est, prior, 0.05, 40, seed=6, theta_init=[1.0, 1.0],
-                         config_snapshot={"model": "mmc"})
+    trace = sample_chain(est, prior, 0.05, 40, seed=6, theta_init=[1.0, 1.0])
     path = write_trace(trace, tmp_path / "chain.csv")
     back = read_trace(path)
     assert np.array_equal(back.thetas, trace.thetas)

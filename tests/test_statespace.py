@@ -62,6 +62,50 @@ def test_grow_clips_at_lower_bound():
     assert tr.states == ((0,), (1,))
 
 
+def _reference_grow(trunc, net):
+    # per-candidate growth with its own +e_j, -e_j directions, kept apart
+    # from grow and default_directions so a change in either shows
+    dirs = []
+    for j in range(net.n_species):
+        e = np.zeros(net.n_species, dtype=np.int64)
+        e[j] = 1
+        dirs.append(e.copy())
+        dirs.append(-e)
+    lo = np.asarray(net.lower_bounds)
+    hi = np.asarray(net.upper_bounds, dtype=float)
+    out = list(trunc.states)
+    seen = set(trunc.states)
+    for s in trunc.states:
+        base = np.asarray(s, dtype=np.int64)
+        for d in dirs:
+            cand = base + d
+            if np.all(cand >= lo) and np.all(cand <= hi):
+                key = tuple(int(v) for v in cand)
+                if key not in seen:
+                    seen.add(key)
+                    out.append(key)
+    return Truncation(tuple(out), level=trunc.level + 1)
+
+
+@pytest.mark.parametrize("name, params, base, levels", [
+    ("mmc", {"c": 2}, ((0,),), 12),
+    ("mmc", {"c": 1, "upper_bounds": (6,)}, ((5,), (2,)), 12),
+    ("schloegl_bd", {}, ((20,), (1,)), 12),
+    ("schloegl_bd", {"upper_bounds": (8,)}, ((7,),), 12),
+    ("lv3", {}, ((0, 3),), 10),
+    ("lv4", {}, ((10, 10), (9, 10), (1, 0)), 10),
+    ("ssir", {}, ((2, 1, 0), (1, 1, 1)), 10),
+    ("ssir", {"upper_bounds": (4, 4, 4)}, ((4, 0, 3),), 10),
+])
+def test_grow_matches_the_per_candidate_reference(name, params, base, levels):
+    net = builtin_model(name, **params)
+    got = want = Truncation(states=base)
+    for _ in range(levels):
+        got, want = grow(got, net), _reference_grow(want, net)
+        assert got.states == want.states
+        assert got.level == want.level
+
+
 def test_merge_keeps_first_seen_order():
     a = Truncation(states=((0,), (1,)), level=2)
     b = Truncation(states=((1,), (2,)), level=1)

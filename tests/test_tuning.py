@@ -1,5 +1,6 @@
 """Convergence profiling, sequence tuning, and the grid stage."""
 
+import collections
 import math
 from dataclasses import replace
 
@@ -70,6 +71,20 @@ def test_profile_relative_differences_handle_tiny_targets():
     prof = profile(lambda r, k: 1e-21 * _smooth_target(r, k), eps=1e-8)
     assert 25 <= prof.r_eps <= 40
     assert prof.a_star == pytest.approx(0.8e-21, rel=1e-7)
+
+
+def test_profile_evaluates_each_point_once():
+    calls = collections.Counter()
+
+    def counted(r, k):
+        calls[(r, float(k))] += 1
+        return _smooth_target(r, k)
+
+    prof = profile(counted, eps=1e-8, r_explore=15)
+    assert max(calls.values()) == 1
+    # the accuracy scan reaches k_high at r_eps, taken from the level scan
+    assert prof.k_eps >= prof.k_high
+    assert prof.acc_values[int(prof.k_high) - prof.k_start] == prof.a_star
 
 
 def test_profile_respects_the_level_cap():
@@ -347,6 +362,16 @@ def test_estimate_sigma_zeta_stub_cases():
         2.0, rel=0.2
     )
     assert estimate_sigma_zeta(_Failing(), [1.0], n_draws=10) == math.inf
+
+
+@pytest.mark.parametrize("n_draws", [0, 1])
+def test_estimate_sigma_zeta_needs_two_draws(n_draws):
+    class _Unused:
+        def log_estimate(self, theta, rng, meter=None):
+            raise AssertionError("no draw should be taken")
+
+    with pytest.raises(ValueError, match="at least 2 draws"):
+        estimate_sigma_zeta(_Unused(), [1.0], n_draws=n_draws)
 
 
 def test_map_estimate_improves_the_posterior():
