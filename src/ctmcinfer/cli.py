@@ -481,6 +481,20 @@ def _cmd_tune(cfg: dict, provided: set) -> int:
     return 0
 
 
+def _burnin(cfg: dict) -> float:
+    burnin = _as_float(cfg["burnin"])
+    if not 0.0 <= burnin < 1.0:
+        raise _UsageError("--burnin must lie in [0, 1)")
+    return burnin
+
+
+def _check_kept_draws(burnin: float, n_draws: int) -> None:
+    """The summary's ESS needs MIN_ESS_DRAWS draws after the burn-in."""
+    if n_draws - int(n_draws * burnin) < MIN_ESS_DRAWS:
+        raise _UsageError(f"--burnin {burnin} leaves fewer than {MIN_ESS_DRAWS} "
+                          f"of {n_draws} draws for the summary")
+
+
 def _cmd_sample(cfg: dict, provided: set) -> int:
     net = _model(cfg)
     dataset = _dataset(cfg, net)
@@ -490,12 +504,8 @@ def _cmd_sample(cfg: dict, provided: set) -> int:
     n_chains = _as_int(cfg["chains"])
     if n_samples < 1 or n_chains < 1:
         raise _UsageError("--n and --chains must be at least 1")
-    burnin = _as_float(cfg["burnin"])
-    if not 0.0 <= burnin < 1.0:
-        raise _UsageError("--burnin must lie in [0, 1)")
-    if n_samples - int(n_samples * burnin) < MIN_ESS_DRAWS:
-        raise _UsageError(f"--burnin {burnin} leaves fewer than {MIN_ESS_DRAWS} "
-                          f"of {n_samples} draws for the summary")
+    burnin = _burnin(cfg)
+    _check_kept_draws(burnin, n_samples)
 
     tuned = None
     if cfg["tuned_config"] is not None:
@@ -582,10 +592,12 @@ def _cmd_truncstudy(cfg: dict, provided: set) -> int:
 
 def _cmd_diag(cfg: dict, provided: set) -> int:
     paths = _strs(_require(cfg, "trace"))
-    burnin = _as_float(cfg["burnin"])
+    burnin = _burnin(cfg)
+    traces = [read_trace(path) for path in paths]
+    for trace in traces:
+        _check_kept_draws(burnin, trace.n_iterations)
     rows = []
-    for path in paths:
-        trace = read_trace(path)
+    for path, trace in zip(paths, traces):
         kept = trace.after_burnin(burnin)
         row = {
             "trace": path,

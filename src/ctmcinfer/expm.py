@@ -12,6 +12,10 @@ sub-conservative rate matrices Q:
 
 Both support full-matrix evaluation and a row-targeted action that computes
 only selected rows, with a FLOP meter counting matrix-multiplication work.
+
+Once a skeletoid squaring underflows, entries below 2^-511 are zeroed after
+it and after each later squaring until a pass finds none, so no squaring
+computes on subnormals; each result entry moves by at most 2^(s+1)*b*2^-511.
 """
 
 from __future__ import annotations
@@ -47,6 +51,11 @@ _RENORM_EVERY = 64
 # Poisson schedules of at most this many terms are cached per (lam, s), 64 of
 # them, so the cache holds at most 64 * (_SCHEDULE_CACHE_TERMS + 1) floats
 _SCHEDULE_CACHE_TERMS = 16384
+
+# once a squaring underflows, entries of B below sqrt(tiny) = 2^-511 are
+# zeroed: a product of two survivors is then a normal double, so no later
+# gemm forms a subnormal (an order of magnitude slower on x86)
+_FLUSH_BELOW = 2.0**-511
 
 # skeletoid_split's squaring cost weight: a guess, to be calibrated from
 # measured costs as in Al-Mohy & Higham 2011 (SIAM J. Sci. Comput. 33(2))
@@ -190,6 +199,36 @@ def implicit_square(B: np.ndarray, meter: FlopMeter | None = None) -> np.ndarray
     if meter is not None:
         meter.add_dense_square(B.shape[0])
     return 2.0 * B + B @ B
+
+
+def _squarings(B: np.ndarray, k: int, meter: FlopMeter | None = None) -> np.ndarray:
+    """B after k implicit squarings, flushed so no squaring sees a subnormal.
+
+    numpy reports an underflow in the gemm; from then on, every entry of B
+    with |x| < _FLUSH_BELOW is zeroed after each squaring, until a flush pass
+    finds nothing to zero, and the next underflow arms it again. A zeroed
+    entry keeps I + B nonnegative, since its off-diagonal entries are >= 0.
+    """
+    if k == 0:
+        return B
+    underflow = False
+
+    def note(err, flag):
+        nonlocal underflow
+        underflow = True
+
+    flushing = False
+    with np.errstate(under="call", call=note):
+        for _ in range(k):
+            B = implicit_square(B, meter)
+            if underflow or flushing:
+                underflow = False
+                small = np.abs(B) < _FLUSH_BELOW
+                small &= B != 0.0
+                flushing = bool(small.any())
+                if flushing:
+                    B[small] = 0.0
+    return B
 
 
 def skeletoid(Q, t: float, s: int, meter: FlopMeter | None = None) -> np.ndarray:
@@ -345,9 +384,7 @@ def rows_action(method: str, Q, t: float, s: int, rows,
     if method == "skeletoid":
         k1, k2 = skeletoid_split(s, b, m)
         delta = t / float(2**s)
-        B = _bridge_increment(mat, diag, delta)
-        for _ in range(k1):
-            B = implicit_square(B, meter)
+        B = _squarings(_bridge_increment(mat, diag, delta), k1, meter)
         # the first pass from the selector rows needs no product:
         # e_r (I + B) = e_r + B[r]
         block = B[rows]

@@ -121,6 +121,8 @@ class Trace:
 
     def after_burnin(self, burnin_fraction: float = 0.1) -> np.ndarray:
         """Parameter draws with the leading fraction discarded."""
+        if not 0.0 <= burnin_fraction < 1.0:
+            raise ValueError("burn-in fraction must lie in [0, 1)")
         start = int(self.n_iterations * burnin_fraction)
         return self.thetas[start:]
 

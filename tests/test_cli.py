@@ -11,7 +11,7 @@ import pytest
 from ctmcinfer import cli, truncation_study
 from ctmcinfer.cli import argv_from_manifest, main
 from ctmcinfer.datasets import Dataset, read_dataset, write_dataset
-from ctmcinfer.sampler import read_trace
+from ctmcinfer.sampler import Trace, read_trace, write_trace
 from ctmcinfer.tuning import tuned_config_from_text
 
 QUEUE_FLAGS = ["--model", "mmc", "--c", "1", "--upper-bounds", "3"]
@@ -244,6 +244,41 @@ def test_sample_diag_round_trip(tmp_path, capsys):
     lines = (tmp_path / "summary.csv").read_text().strip().splitlines()
     assert len(lines) == 2
     assert "acceptance_rate" in lines[0]
+
+
+def _write_short_trace(path, n):
+    write_trace(Trace(thetas=np.linspace(0.5, 1.5, 2 * n).reshape(n, 2),
+                      log_estimates=np.zeros(n), accepted=np.ones(n, dtype=bool),
+                      cum_gflops=np.zeros(n)), path)
+    return path
+
+
+@pytest.mark.parametrize("burnin", ["-0.5", "1.0"])
+def test_diag_rejects_burnin_outside_unit_interval_before_reading(tmp_path, capsys,
+                                                                  burnin):
+    missing = tmp_path / "no_such_trace.csv"
+    rc = main(["diag", "--trace", str(missing), "--burnin", burnin])
+    assert rc == 2
+    assert "usage error: --burnin" in capsys.readouterr().err
+
+
+def test_diag_rejects_burnin_leaving_too_few_draws(tmp_path, capsys):
+    long_ = _write_short_trace(tmp_path / "long.csv", 40)
+    short = _write_short_trace(tmp_path / "short.csv", 20)
+    out = tmp_path / "summary.csv"
+    rc = main(["diag", "--trace", f"{long_},{short}", "--burnin", "0.85",
+               "--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "usage error: --burnin 0.85 leaves fewer than 4 of 20" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_diag_accepts_burnin_leaving_four_draws(tmp_path, capsys):
+    path = _write_short_trace(tmp_path / "t.csv", 20)
+    assert main(["diag", "--trace", str(path), "--burnin", "0.8"]) == 0
+    assert "n=20" in capsys.readouterr().out
 
 
 def test_multichain_files_and_diag(tmp_path):

@@ -1,16 +1,19 @@
 """Monotone matrix-exponential approximations, selection rules, FLOP model."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ctmcinfer import (
+    EstimatorConfig,
     FlopMeter,
+    LikelihoodEstimator,
     Truncation,
     assemble,
     builtin_model,
@@ -20,11 +23,13 @@ from ctmcinfer import (
     poisson_quantile,
     random_rate_matrix,
     rows_action,
+    sample_dataset,
     select_s_skeletoid,
     select_s_uniformization,
     skeletoid,
     skeletoid_base,
     skeletoid_split,
+    tune_estimator,
     uniformization,
 )
 from ctmcinfer import expm
@@ -470,3 +475,186 @@ def test_skeletoid_entries_are_probabilities(s, t, seed):
     M = skeletoid(Q, t, s)
     assert np.all(M >= -1e-15)
     assert np.all(M.sum(axis=1) <= 1 + 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# underflow flush in the skeletoid squarings
+
+
+def _unflushed_skeletoid_rows(mat, diag, t, s, rows):
+    """The skeletoid branch of rows_action before it flushed tiny entries,
+    kept as the reference. Also says whether any squaring underflowed."""
+    b, m = len(diag), len(rows)
+    k1, k2 = skeletoid_split(s, b, m)
+    B = expm._bridge_increment(mat, diag, t / float(2**s))
+    hits = []
+    with np.errstate(under="call", call=lambda err, flag: hits.append(err)):
+        for _ in range(k1):
+            B = 2.0 * B + B @ B
+    block = B[rows]
+    block[np.arange(m), rows] += 1.0
+    for _ in range(2**k2 - 1):
+        block = block + block @ B
+    return block, bool(hits)
+
+
+def _flush_gap(mat, diag, t, s, rows):
+    """(new rows, old rows, largest |new - old|, its a-priori bound, whether
+    a squaring underflowed).
+
+    Each flush zeroes less than b * 2^-511 of a row of B, and the 2^(s-j)
+    doublings after squaring j grow that at most 2^(s-j)-fold, since I + B
+    is substochastic: summed over j, at most 2^(s+1) * b * 2^-511.
+    """
+    old, underflowed = _unflushed_skeletoid_rows(mat, diag, t, s, rows)
+    new = rows_action("skeletoid", mat, t, s, rows)
+    bound = 2.0 ** (s + 1) * len(diag) * 2.0**-511
+    return new, old, float(np.abs(new - old).max()), bound, underflowed
+
+
+def _banded_generator(b, width, seed):
+    """Sub-conservative banded generator: jumps of up to width states at
+    rates spread over six decades; the upward jumps past the top are lost."""
+    rng = np.random.default_rng(seed)
+    Q = np.zeros((b, b))
+    leak = np.zeros(b)
+    for d in range(1, min(width, b - 1) + 1):
+        up = 10.0 ** rng.uniform(-3.0, 3.0, size=b)
+        down = 10.0 ** rng.uniform(-3.0, 3.0, size=b - d)
+        Q += np.diag(up[:b - d], d) + np.diag(down, -d)
+        leak[b - d:] += up[b - d:]
+    np.fill_diagonal(Q, -(Q.sum(axis=1) + leak))
+    return Q
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    b=st.integers(2, 48),
+    width=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+    log_qbar_t=st.floats(0.0, 6.0),
+    s=st.integers(0, 60),
+    n_rows=st.integers(1, 48),
+)
+def test_flushed_squarings_stay_within_bound_of_the_unflushed_loop(
+        b, width, seed, log_qbar_t, s, n_rows):
+    Q = _banded_generator(b, width, seed)
+    t = 10.0**log_qbar_t / -np.diag(Q).min()
+    # the selection rule never takes a step with |q_bar| * delta above 1
+    assume(2.0**s >= 10.0**log_qbar_t)
+    rows = np.random.default_rng(seed).choice(b, size=min(n_rows, b), replace=False)
+    new, old, gap, bound, underflowed = _flush_gap(Q, np.diag(Q).copy(), t, s, rows)
+    assert gap <= bound
+    assert np.all(new >= 0.0)
+    if not underflowed:
+        assert np.array_equal(new, old)
+
+
+@functools.cache
+def _schloegl_level17():
+    """The test-09 schloegl_bd data's merged truncation at level 17,
+    assembled at the data-generating parameters, and its dt=4 source rows."""
+    net = builtin_model("schloegl_bd")
+    theta = np.array([3.0, 0.5, 0.5, 3.0])
+    data = sample_dataset(net, theta, (20,), 4.0 * np.arange(17.0),
+                          np.random.default_rng(777), seed=777)
+    est = LikelihoodEstimator(net, data, EstimatorConfig(mode="ra", method="skeletoid"))
+    (dt, rows, _, _), = est._plans[None]
+    return assemble(net, est.merged_ladder.level(17), theta), dt, rows
+
+
+@pytest.mark.parametrize("k", [4.0, 8.0, 14.0])
+def test_flushed_squarings_on_the_schloegl_level17_truncation(k):
+    trmat, dt, rows = _schloegl_level17()
+    s = select_s_skeletoid(trmat.q_bar * dt, 10.0**-k)
+    new, _, gap, bound, underflowed = _flush_gap(trmat.matrix, trmat.diag, dt, s, rows)
+    assert underflowed
+    assert gap <= bound
+    assert np.all(new >= 0.0)
+
+
+def test_flushed_squarings_are_bit_equal_without_underflow():
+    trmat = assemble(builtin_model("mmc", c=2), Truncation(
+        states=tuple((i,) for i in range(14))), [1.5, 1.0])
+    # at k = 14 the far entries' products underflow and the flush runs
+    for k in (4.0, 8.0):
+        s = select_s_skeletoid(trmat.q_bar, 10.0**-k)
+        new, old, _, _, underflowed = _flush_gap(trmat.matrix, trmat.diag, 1.0, s,
+                                                 np.arange(14))
+        assert not underflowed
+        assert np.array_equal(new, old)
+
+
+@pytest.mark.parametrize("flush_below, within", [(2.0**-511, True), (2.0**-300, False)])
+def test_the_bound_catches_a_flush_threshold_set_too_high(monkeypatch, flush_below,
+                                                          within):
+    # at |q_bar| t = 1 the far entries of the result lie between the bound
+    # and 2^-300, so zeroing below 2^-300 loses them
+    Q = _banded_generator(48, 1, seed=0)
+    monkeypatch.setattr(expm, "_FLUSH_BELOW", flush_below)
+    t = 1.0 / -np.diag(Q).min()
+    s = select_s_skeletoid(1.0, 1e-10)
+    _, _, gap, bound, underflowed = _flush_gap(Q, np.diag(Q).copy(), t, s, np.arange(48))
+    assert underflowed
+    assert (gap <= bound) == within
+
+
+def _has_subnormal(B):
+    return bool(np.any((B != 0.0) & (np.abs(B) < np.finfo(float).tiny)))
+
+
+class _SquaringSpy:
+    """Stands in for expm.implicit_square and records, per call, whether the
+    operand held a subnormal, whether a flush changed it since the previous
+    squaring returned it, and whether the squaring underflowed. Underflow
+    reports still reach the handler rows_action installed."""
+
+    def __init__(self, monkeypatch):
+        self.square = expm.implicit_square
+        self.subnormal, self.flushed, self.underflowed = [], [], []
+        self.last = self.last_copy = None
+        monkeypatch.setattr(expm, "implicit_square", self)
+
+    def __call__(self, B, meter=None):
+        outer = np.geterrcall()
+        hits = []
+
+        def note(err, flag):
+            hits.append(err)
+            if outer is not None:
+                outer(err, flag)
+
+        self.subnormal.append(_has_subnormal(B))
+        self.flushed.append(B is self.last and not np.array_equal(B, self.last_copy))
+        with np.errstate(call=note):
+            out = self.square(B, meter)
+        self.underflowed.append(bool(hits))
+        self.last, self.last_copy = out, out.copy()
+        return out
+
+
+def test_no_squaring_after_an_underflow_sees_a_subnormal(monkeypatch):
+    trmat, dt, rows = _schloegl_level17()
+    spy = _SquaringSpy(monkeypatch)
+    for k in (4.0, 8.0, 14.0):
+        rows_action("skeletoid", trmat, dt,
+                    select_s_skeletoid(trmat.q_bar * dt, 10.0**-k), rows)
+    first = spy.underflowed.index(True)
+    assert any(spy.flushed)
+    assert not any(spy.subnormal[first + 1:])
+
+
+def test_sampling_the_queue_data_never_flushes(monkeypatch):
+    net = builtin_model("mmc", c=2)
+    theta = np.array([1.5, 1.0])
+    data = sample_dataset(net, theta, (0,), np.arange(31.0),
+                          np.random.default_rng(1000), seed=1000)
+    base = LikelihoodEstimator(net, data, EstimatorConfig(mode="ra", method="skeletoid"))
+    tuned = tune_estimator(base, theta, p_min=0.9)
+    est = LikelihoodEstimator(net, data, tuned.to_estimator_config())
+    spy = _SquaringSpy(monkeypatch)
+    rng = np.random.default_rng(9)
+    for _ in range(50):
+        est.log_estimate(theta * np.exp(rng.normal(0.0, 0.1, size=2)), rng)
+    assert spy.underflowed
+    assert not any(spy.underflowed) and not any(spy.flushed)

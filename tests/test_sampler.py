@@ -275,3 +275,15 @@ def test_after_burnin_drops_the_leading_fraction():
     kept = trace.after_burnin(0.25)
     assert kept.shape == (15, 1)
     assert kept[0, 0] == 5.0
+
+
+@pytest.mark.parametrize("fraction", [-0.5, 1.0, 1.5])
+def test_after_burnin_rejects_fractions_outside_unit_interval(fraction):
+    trace = Trace(
+        thetas=np.arange(20.0)[:, None],
+        log_estimates=np.zeros(20),
+        accepted=np.zeros(20, dtype=bool),
+        cum_gflops=np.zeros(20),
+    )
+    with pytest.raises(ValueError, match="burn-in"):
+        trace.after_burnin(fraction)
