@@ -221,6 +221,10 @@ class JointSequence:
     acc_offset: float = 4.0
     slope: float = 0.1
 
+    def __post_init__(self):
+        if self.trunc_offset < 0 or not 0.0 <= self.slope < math.inf:
+            raise ValueError(f"{self} needs trunc_offset >= 0 and a finite slope >= 0")
+
     def level(self, n: int) -> int:
         return self.trunc_offset + n
 

@@ -13,6 +13,10 @@ sub-conservative rate matrices Q:
 Both support full-matrix evaluation and a row-targeted action that computes
 only selected rows, with a FLOP meter counting matrix-multiplication work.
 
+Every input (a TruncatedRateMatrix, an ndarray or a scipy sparse matrix) is
+read as its nonzero off-diagonal rates and its diagonal; only the
+uniformization operand P has a storage choice, dense or CSR.
+
 Once a skeletoid squaring underflows, entries below 2^-511 are zeroed after
 it and after each later squaring until a pass finds none, so no squaring
 computes on subnormals; each result entry moves by at most 2^(s+1)*b*2^-511.
@@ -20,6 +24,7 @@ computes on subnormals; each result entry moves by at most 2^(s+1)*b*2^-511.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from types import MappingProxyType
@@ -29,6 +34,7 @@ import scipy.sparse as sp
 import scipy.special
 
 __all__ = [
+    "DENSE_LIMIT",
     "FlopMeter",
     "poisson_quantile",
     "select_s_uniformization",
@@ -40,6 +46,12 @@ __all__ = [
     "skeletoid_split",
     "computable_error",
 ]
+
+# P is stored as CSR above DENSE_LIMIT states when at most _CSR_MAX_FILL of
+# its entries are nonzero: at b = 600 on one BLAS thread a CSR pass over 600
+# rows ties the dense product at a tenth filled, and is 8x slower when full
+DENSE_LIMIT = 512
+_CSR_MAX_FILL = 0.1
 
 # relative tolerance deciding when two diagonal entries count as equal in the
 # bridge formula (the limiting expression is used there)
@@ -88,27 +100,32 @@ class FlopMeter:
         return self.flops / 1e9
 
 
-def _parts(Q, q_bar=None):
-    """Accept a TruncatedRateMatrix, ndarray, or CSR; return (matrix, diag, q_bar)."""
-    diag = getattr(Q, "diag", None)
-    if diag is not None and hasattr(Q, "matrix"):
-        mat = Q.matrix
-        qb = Q.q_bar if q_bar is None else float(q_bar)
-        return mat, np.asarray(diag, dtype=float), qb
-    if sp.issparse(Q):
-        mat = Q.tocsr()
-        diag = mat.diagonal()
+# what every method reads of a rate matrix; _parts passes one straight through
+_Entries = collections.namedtuple("_Entries", "rows cols rates diag q_bar")
+
+
+def _parts(Q, q_bar=None) -> _Entries:
+    """Reduce a TruncatedRateMatrix, _Entries, ndarray or scipy sparse matrix
+    to its nonzero off-diagonal entries (rows, cols, rates), its diagonal,
+    and q_bar (the smallest diagonal entry unless given)."""
+    if hasattr(Q, "rates"):
+        rows, cols, rates, diag, qb = Q.rows, Q.cols, Q.rates, Q.diag, Q.q_bar
     else:
-        mat = np.asarray(Q, dtype=float)
+        mat = Q.tocoo(copy=True) if sp.issparse(Q) else np.asarray(Q, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("rate matrix must be square")
-        diag = np.diag(mat).copy()
-    qb = float(diag.min()) if q_bar is None else float(q_bar)
-    return mat, diag, qb
-
-
-def _to_dense(mat) -> np.ndarray:
-    return mat.toarray() if sp.issparse(mat) else np.asarray(mat, dtype=float)
+        if sp.issparse(mat):
+            # adds repeated (row, col) entries, as toarray does, row by row
+            mat.sum_duplicates()
+            keep = (mat.row != mat.col) & (mat.data != 0.0)
+            rows, cols, rates = mat.row[keep], mat.col[keep], mat.data[keep]
+        else:
+            keep = mat != 0.0
+            np.fill_diagonal(keep, False)
+            (rows, cols), rates = np.nonzero(keep), mat[keep]
+        rates, diag = rates.astype(float), mat.diagonal().astype(float)
+        qb = float(diag.min())
+    return _Entries(rows, cols, rates, diag, qb if q_bar is None else float(q_bar))
 
 
 # ---------------------------------------------------------------------------
@@ -158,18 +175,15 @@ def select_s_skeletoid(qbar_t: float, eps: float) -> int:
 # bridge-product ("skeletoid") approximation
 
 
-def _bridge_increment(mat, diag, delta: float) -> np.ndarray:
-    """B = S(delta) - I as a dense matrix.
+def _bridge_increment(Q: _Entries, delta: float) -> np.ndarray:
+    """B = S(delta) - I as a dense matrix, from the nonzero off-diagonal rates.
 
     Off-diagonal (x, y): q_xy * delta * exp(q_xx delta) when the two diagonals
     tie, else q_xy * (exp(q_yy delta) - exp(q_xx delta)) / (q_yy - q_xx).
     Diagonal: expm1(q_xx delta), kept implicit relative to I for accuracy at
-    tiny delta.
+    tiny delta. Only the nonzero pairs get a bridge weight.
     """
-    dense = _to_dense(mat)
-    b = dense.shape[0]
-    dx = diag[:, None]
-    dy = diag[None, :]
+    dx, dy = Q.diag[Q.rows], Q.diag[Q.cols]
     tie = np.abs(dx - dy) <= _DIAG_TIE_RTOL * np.maximum(np.abs(dx), np.abs(dy))
     gap = np.where(tie, 1.0, np.abs(dy - dx))
     # (e^{dy d} - e^{dx d}) / (dy - dx) = e^{max d} (-expm1(-gap d)) / gap.
@@ -179,18 +193,17 @@ def _bridge_increment(mat, diag, delta: float) -> np.ndarray:
     hi = np.maximum(dx, dy)
     bridge = np.where(tie, delta * np.exp(dx * delta),
                       np.exp(hi * delta) * -np.expm1(-gap * delta) / gap)
-    off = dense * bridge
-    np.fill_diagonal(off, 0.0)
-    B = off
-    B[np.arange(b), np.arange(b)] = np.expm1(diag * delta)
+    b = Q.diag.size
+    B = np.zeros((b, b))
+    B[Q.rows, Q.cols] = Q.rates * bridge
+    B[np.arange(b), np.arange(b)] = np.expm1(Q.diag * delta)
     return B
 
 
 def skeletoid_base(Q, delta: float) -> np.ndarray:
     """The one-step matrix S(delta) itself (dense)."""
-    mat, diag, _ = _parts(Q)
-    B = _bridge_increment(mat, diag, delta)
-    B[np.arange(len(diag)), np.arange(len(diag))] += 1.0
+    B = _bridge_increment(_parts(Q), delta)
+    B[np.arange(len(B)), np.arange(len(B))] += 1.0
     return B
 
 
@@ -237,8 +250,8 @@ def skeletoid(Q, t: float, s: int, meter: FlopMeter | None = None) -> np.ndarray
     The all-rows case of rows_action, whose cost split then takes every
     doubling as a dense squaring.
     """
-    b = _parts(Q)[1].size
-    return rows_action("skeletoid", Q, t, s, np.arange(b), meter)
+    Q = _parts(Q)
+    return rows_action("skeletoid", Q, t, s, np.arange(Q.diag.size), meter)
 
 
 def skeletoid_split(k: int, b: int, m: int) -> tuple:
@@ -316,6 +329,21 @@ def _poisson_schedule(lam: float, s: int) -> tuple:
     return _cached_poisson_weights(lam, s)
 
 
+def _uniformized(Q: _Entries):
+    """P = I + Q/(-q_bar): CSR above DENSE_LIMIT states when at most
+    _CSR_MAX_FILL of its entries are nonzero, dense otherwise."""
+    b, scale = Q.diag.size, -Q.q_bar
+    if b <= DENSE_LIMIT or Q.rates.size + b > _CSR_MAX_FILL * b * b:
+        P = np.diag(1.0 + Q.diag / scale)
+        P[Q.rows, Q.cols] = Q.rates / scale
+        return P
+    idx = np.arange(b)
+    coo = (np.concatenate([Q.rates, Q.diag]),
+           (np.concatenate([Q.rows, idx]), np.concatenate([Q.cols, idx])))
+    mat = sp.csr_matrix(coo, shape=(b, b))
+    return (sp.eye(b, format="csr") + mat.multiply(1.0 / scale)).tocsr()
+
+
 def uniformization(Q, t: float, s: int, meter: FlopMeter | None = None,
                    q_bar: float | None = None) -> np.ndarray:
     """Partial sum of order s of the uniformized power series for exp(tQ).
@@ -323,8 +351,8 @@ def uniformization(Q, t: float, s: int, meter: FlopMeter | None = None,
     q_bar defaults to the smallest diagonal entry of Q; passing a more
     negative global value keeps partial sums comparable across truncations.
     """
-    b = _parts(Q)[1].size
-    return rows_action("uniformization", Q, t, s, np.arange(b), meter, q_bar)
+    Q = _parts(Q)
+    return rows_action("uniformization", Q, t, s, np.arange(Q.diag.size), meter, q_bar)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +369,8 @@ def rows_action(method: str, Q, t: float, s: int, rows,
     the base matrix part of the way and finishes with row passes, splitting
     the work by the modeled cost.
     """
-    mat, diag, q_bar = _parts(Q, q_bar)
+    Q = _parts(Q, q_bar)
+    diag, q_bar = Q.diag, Q.q_bar
     b = len(diag)
     rows = np.asarray(rows, dtype=np.int64)
     if rows.ndim != 1 or rows.size == 0:
@@ -357,11 +386,8 @@ def rows_action(method: str, Q, t: float, s: int, rows,
         if q_bar == 0.0:
             return np.eye(b)[rows]
         lam = -q_bar * t
-        dense = not sp.issparse(mat)
-        if dense:
-            P = np.eye(b) + mat / (-q_bar)
-        else:
-            P = (sp.eye(b, format="csr") + mat.multiply(1.0 / (-q_bar))).tocsr()
+        P = _uniformized(Q)
+        dense = isinstance(P, np.ndarray)
         weights, rescales, anchor = _poisson_schedule(lam, s)
         block = np.zeros((m, b))
         block[np.arange(m), rows] = 1.0
@@ -384,7 +410,7 @@ def rows_action(method: str, Q, t: float, s: int, rows,
     if method == "skeletoid":
         k1, k2 = skeletoid_split(s, b, m)
         delta = t / float(2**s)
-        B = _squarings(_bridge_increment(mat, diag, delta), k1, meter)
+        B = _squarings(_bridge_increment(Q, delta), k1, meter)
         # the first pass from the selector rows needs no product:
         # e_r (I + B) = e_r + B[r]
         block = B[rows]

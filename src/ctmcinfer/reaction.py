@@ -74,6 +74,9 @@ class ReactionNetwork:
         object.__setattr__(self, "propensities", tuple(self.propensities))
         if len(self.propensities) != u.shape[0]:
             raise ValueError("one propensity per update-matrix row required")
+        if not u.any(axis=1).all():
+            raise ValueError(f"reaction {int(np.argmin(u.any(axis=1)))} changes no "
+                             "species: its update_matrix row is all zeros")
         if len(self.lower_bounds) != u.shape[1] or len(self.upper_bounds) != u.shape[1]:
             raise ValueError("bounds must have one entry per species")
         object.__setattr__(self, "lower_bounds", tuple(

@@ -12,7 +12,6 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .reaction import ReactionNetwork
 
@@ -28,9 +27,6 @@ __all__ = [
     "assemble",
     "ra_rule_of_thumb",
 ]
-
-# above this many states the assembled matrix is stored sparse
-DENSE_LIMIT = 512
 
 RA_STATE_FRACTION = 1.0 / 3.0
 
@@ -118,6 +114,8 @@ class TruncationLadder:
         return self._levels[0]
 
     def level(self, r: int) -> Truncation:
+        if r < 0:
+            raise ValueError(f"truncation level {r} is negative")
         if r < len(self._levels):
             return self._levels[r]
         with self._lock:
@@ -294,55 +292,48 @@ def seed_truncation(net: ReactionNetwork, x_from, x_to) -> Truncation:
 class TruncatedRateMatrix:
     """Rate matrix restricted to a truncation, diagonal taken on the full lattice.
 
-    matrix is dense below DENSE_LIMIT states and CSR above. deficit[i] >= 0 is
-    the rate mass row i loses to dropped targets; q_bar is the most negative
-    diagonal entry (so -q_bar bounds every exit rate). entries holds the kept
-    off-diagonal rates as (rows, cols, rates) arrays, one triple per channel
-    in assembly order, so leading blocks can be rebuilt from it.
+    rows, cols and rates hold the kept off-diagonal rates, channel after
+    channel in assembly order; every (row, col) pair is distinct and off the
+    diagonal. diag holds each state's full-lattice diagonal. Both derived
+    fields follow from these: deficit[i] >= 0 is the rate mass row i loses
+    to dropped targets, and q_bar is the most negative diagonal entry (so
+    -q_bar bounds every exit rate). to_dense() builds the b x b matrix.
     """
 
     truncation: Truncation
-    matrix: object
+    rows: np.ndarray
+    cols: np.ndarray
+    rates: np.ndarray
     diag: np.ndarray
-    deficit: np.ndarray
-    q_bar: float
-    entries: tuple = field(repr=False, compare=False)
+    deficit: np.ndarray = field(init=False)
+    q_bar: float = field(init=False)
 
-    @property
-    def dim(self) -> int:
-        return len(self.truncation)
-
-    @property
-    def is_dense(self) -> bool:
-        return isinstance(self.matrix, np.ndarray)
-
-    @property
-    def nnz(self) -> int:
-        if self.is_dense:
-            return int(np.count_nonzero(self.matrix))
-        return int(self.matrix.nnz)
+    def __post_init__(self):
+        # bincount adds each row's kept rates in entry order, that is channel
+        # order, so a leading block's deficit equals its assembly's
+        kept = np.bincount(self.rows, weights=self.rates, minlength=len(self.truncation))
+        # clamp tiny negative deficits from float cancellation
+        self.deficit = np.maximum(-self.diag - kept, 0.0)
+        self.q_bar = float(self.diag.min())
 
     def to_dense(self) -> np.ndarray:
-        if self.is_dense:
-            return self.matrix
-        return self.matrix.toarray()
+        Q = np.diag(self.diag)
+        Q[self.rows, self.cols] = self.rates
+        return Q
 
     def leading_block(self, trunc: Truncation) -> "TruncatedRateMatrix":
         """What assemble builds on trunc, a prefix of this truncation.
 
         A state's rates do not depend on the truncation, so the block keeps
-        this diagonal and the entries whose row and target both lie in the
-        prefix; the deficit and the storage are redone as assemble does
-        them, which makes the result equal bit for bit.
+        this diagonal and, in their order, the entries whose row and target
+        both lie in the prefix, which makes the result equal bit for bit.
         """
         b = len(trunc)
         if self.truncation.states[:b] != trunc.states:
             raise ValueError("the truncation is not a prefix of this one")
-        entries = []
-        for rows, cols, rates in self.entries:
-            keep = (rows < b) & (cols < b)
-            entries.append((rows[keep], cols[keep], rates[keep]))
-        return _rate_matrix(trunc, tuple(entries), self.diag[:b].copy())
+        keep = (self.rows < b) & (self.cols < b)
+        return TruncatedRateMatrix(trunc, self.rows[keep], self.cols[keep],
+                                   self.rates[keep], self.diag[:b].copy())
 
 
 class _Stencil:
@@ -387,39 +378,6 @@ def _stencil(net: ReactionNetwork, trunc: Truncation) -> _Stencil:
     return cached[1]
 
 
-def _rate_matrix(trunc: Truncation, entries: tuple,
-                 diag: np.ndarray) -> TruncatedRateMatrix:
-    """Deficit, q_bar and dense-or-CSR storage from the per-channel rates."""
-    b = len(trunc)
-    kept = np.zeros(b)
-    for rows, _, rates in entries:
-        kept[rows] += rates
-    deficit = -diag - kept
-    # clamp tiny negative deficits from float cancellation
-    np.maximum(deficit, 0.0, out=deficit)
-    idx = np.arange(b)
-    if b <= DENSE_LIMIT:
-        matrix = np.zeros((b, b))
-        for rows, cols, rates in entries:
-            matrix[rows, cols] += rates
-        matrix[idx, idx] += diag
-    else:
-        matrix = sp.csr_matrix(
-            (np.concatenate([e[2] for e in entries] + [diag]),
-             (np.concatenate([e[0] for e in entries] + [idx]),
-              np.concatenate([e[1] for e in entries] + [idx]))),
-            shape=(b, b),
-        )
-    return TruncatedRateMatrix(
-        truncation=trunc,
-        matrix=matrix,
-        diag=diag,
-        deficit=deficit,
-        q_bar=float(diag.min()),
-        entries=entries,
-    )
-
-
 def assemble(net: ReactionNetwork, trunc: Truncation, theta) -> TruncatedRateMatrix:
     """Build the truncated rate matrix for theta on the given truncation.
 
@@ -430,7 +388,8 @@ def assemble(net: ReactionNetwork, trunc: Truncation, theta) -> TruncatedRateMat
     theta = net.validate_theta(theta)
     stencil = _stencil(net, trunc)
     rates = np.zeros((b, net.n_reactions))
-    entries = []
+    # the empty first triple types the flat arrays of a net with no channels
+    entries = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
     for reactions, rows, cols in stencil.channels:
         in_bounds = stencil.states[rows]
         # rate_row's merge of equal targets: 0.0 plus each rate in order
@@ -447,7 +406,8 @@ def assemble(net: ReactionNetwork, trunc: Truncation, theta) -> TruncatedRateMat
         i, r = np.argwhere(rates < 0)[0]
         raise ValueError(f"negative propensity {float(rates[i, r])} for reaction "
                          f"{int(r)} at {tuple(stencil.states[i])}")
-    return _rate_matrix(trunc, tuple(entries), -rates.sum(axis=1))
+    rows, cols, kept = (np.concatenate(e) for e in zip(*entries))
+    return TruncatedRateMatrix(trunc, rows, cols, kept, -rates.sum(axis=1))
 
 
 def ra_rule_of_thumb(sizes, merged_size: int) -> bool:

@@ -11,6 +11,7 @@ estimator cost and picks the proposal scale by effective samples per GFLOP.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -104,6 +105,10 @@ def profile(value_fn, eps: float = 1e-8, r_explore: int = R_EXPLORE,
         r += 1
     r_eps = r - 1
     a_star = trunc_values[-1]
+    if a_star < sys.float_info.min:
+        # value_fn returns exp(log value): below about e^-708 that underflows
+        raise FloatingPointError(f"converged target value {a_star!r} is zero or subnormal; "
+                                 "tune in IA mode, whose targets are single transitions")
 
     acc_values = []
     k = K_START

@@ -396,6 +396,21 @@ def test_tuned_config_from_another_dataset_exits_1(tmp_path, capsys):
     assert "dataset of 4 transitions" in err
 
 
+def test_tuned_config_with_a_negative_level_exits_1(tmp_path, capsys):
+    data = _simulate(tmp_path)
+    tuned_path = tmp_path / "tuned.cfg"
+    tuned_path.write_text("mode = ra\nmethod = skeletoid\np_min = 0.9\n"
+                          "trunc_offset = -1\nacc_offset = 4.0\nslope = 0.1\n"
+                          "law_p = 0.5\n")
+    before = set(tmp_path.iterdir())
+    rc = main(["sample", *QUEUE_FLAGS, "--data", str(data), "--tuned-config",
+               str(tuned_path), "--n", "5", "--out", str(tmp_path / "t.csv")])
+    assert rc == 1
+    assert "trunc_offset=-1, acc_offset=4.0, slope=0.1) needs trunc_offset >= 0" \
+        in capsys.readouterr().err
+    assert set(tmp_path.iterdir()) == before
+
+
 def test_argv_from_manifest_formats_flags():
     manifest = {"command": "tune", "config": {
         "dim": "4,6", "grid": True, "no_map": False, "seed": 3,

@@ -1,6 +1,7 @@
 """Debiased draws from monotone sequences and the likelihood estimators."""
 
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -264,6 +265,16 @@ def test_joint_sequence_defaults():
     seq = JointSequence()
     assert seq.level(3) == 3
     assert seq.accuracy(10) == pytest.approx(5.0)
+
+
+@pytest.mark.parametrize("fields", [{"trunc_offset": -1}, {"slope": -0.1},
+                                    {"slope": math.inf}, {"slope": math.nan}])
+def test_joint_sequence_rejects_negative_offsets_and_bad_slopes(fields):
+    args = {"trunc_offset": 0, "acc_offset": 4.0, "slope": 0.1, **fields}
+    shown = ", ".join(f"{k}={v!r}" for k, v in args.items())
+    with pytest.raises(ValueError, match=re.escape(f"JointSequence({shown}) needs")):
+        JointSequence(**fields)
+    assert JointSequence(trunc_offset=0, slope=0.0).level(2) == 2
 
 
 # ---------------------------------------------------------------------------

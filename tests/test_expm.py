@@ -11,6 +11,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ctmcinfer import (
+    DENSE_LIMIT,
+    MATRIX_CLASSES,
     EstimatorConfig,
     FlopMeter,
     LikelihoodEstimator,
@@ -95,6 +97,73 @@ def test_skeletoid_matches_oracle_at_high_resolution():
     Q = random_rate_matrix("dense", 5, rng)
     M = skeletoid(Q, 1.0, 40)
     assert np.max(np.abs(M - oracle_expm(Q, 1.0))) < 1e-10
+
+
+def _full_matrix_bridge_increment(mat, diag, delta):
+    """_bridge_increment as it was, on the full b x b matrix: the reference
+    for the one that weights only the nonzero pairs."""
+    dense = mat.toarray() if sp.issparse(mat) else np.asarray(mat, dtype=float)
+    b = dense.shape[0]
+    dx = diag[:, None]
+    dy = diag[None, :]
+    tie = np.abs(dx - dy) <= expm._DIAG_TIE_RTOL * np.maximum(np.abs(dx), np.abs(dy))
+    gap = np.where(tie, 1.0, np.abs(dy - dx))
+    hi = np.maximum(dx, dy)
+    bridge = np.where(tie, delta * np.exp(dx * delta),
+                      np.exp(hi * delta) * -np.expm1(-gap * delta) / gap)
+    off = dense * bridge
+    np.fill_diagonal(off, 0.0)
+    B = off
+    B[np.arange(b), np.arange(b)] = np.expm1(diag * delta)
+    return B
+
+
+def _bridge_case(kind, b, seed):
+    """A rate matrix of the given kind: a random_rate_matrix class, a banded
+    generator, tied diagonals, an assembled queue (TruncatedRateMatrix), or
+    a CSR matrix listing each nonzero as two duplicate entries."""
+    rng = np.random.default_rng(seed)
+    if kind == "duplicated":
+        # non-canonical CSR: every nonzero a is stored as u*a and a - u*a at
+        # the same (row, col); two addends sum alike in either order
+        Q = random_rate_matrix("sparse", b, rng)
+        rows, cols = np.nonzero(Q)
+        part = Q[rows, cols] * rng.uniform(0.1, 0.9, size=rows.size)
+        data = np.column_stack([part, Q[rows, cols] - part]).ravel()
+        indptr = np.concatenate([[0], np.cumsum(2 * np.bincount(rows, minlength=b))])
+        return sp.csr_matrix((data, np.repeat(cols, 2), indptr), shape=(b, b))
+    if kind == "banded":
+        return _banded_generator(b, 1 + seed % 3, seed)
+    if kind == "tied":
+        # every diagonal equal, or within (1e-13) or just outside (1e-11) the
+        # tie tolerance of the others
+        Q = random_rate_matrix("sparse", b, rng)
+        d = np.diag(Q).min() * (1.0 + rng.choice([0.0, 1e-13, 1e-11], size=b))
+        np.fill_diagonal(Q, d)
+        return Q
+    if kind == "assembled":
+        theta = rng.uniform(0.05, 5.0, size=2)
+        return assemble(builtin_model("mmc", c=2),
+                        Truncation(states=tuple((i,) for i in range(b))), theta)
+    return random_rate_matrix(kind, b, rng)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    kind=st.sampled_from([*MATRIX_CLASSES, "banded", "tied", "assembled", "duplicated"]),
+    b=st.integers(2, 40),
+    seed=st.integers(0, 2**16),
+    log_delta=st.floats(-12.0, 0.0),
+)
+def test_pairwise_bridge_increment_equals_the_full_matrix_one(kind, b, seed, log_delta):
+    Q = _bridge_case(kind, b, seed)
+    if kind == "assembled":
+        dense = Q.to_dense()
+    else:
+        dense = Q.toarray() if sp.issparse(Q) else Q
+    delta = 10.0**log_delta
+    want = _full_matrix_bridge_increment(dense, np.diag(dense).copy(), delta)
+    assert np.array_equal(expm._bridge_increment(expm._parts(Q), delta), want)
 
 
 def test_implicit_square_matches_naive():
@@ -310,12 +379,14 @@ class _ScaledSeries:
         return self.acc * math.exp(self.anchor)
 
 
-def _reference_uniformization_rows(mat, q_bar, t, s, rows):
+def _reference_uniformization_rows(mat, q_bar, t, s, rows, csr):
+    # P is CSR when asked, dense otherwise, whatever mat is
     b = mat.shape[0]
-    if sp.issparse(mat):
-        P = (sp.eye(b, format="csr") + mat.multiply(1.0 / (-q_bar))).tocsr()
+    if not csr:
+        dense = mat.toarray() if sp.issparse(mat) else mat
+        P = np.eye(b) + dense / (-q_bar)
     else:
-        P = np.eye(b) + mat / (-q_bar)
+        P = (sp.eye(b, format="csr") + sp.csr_matrix(mat).multiply(1.0 / (-q_bar))).tocsr()
     series = _ScaledSeries((len(rows), b), -q_bar * t)
     block = np.zeros((len(rows), b))
     block[np.arange(len(rows)), rows] = 1.0
@@ -331,19 +402,32 @@ def _reference_uniformization_rows(mat, q_bar, t, s, rows):
 _SCHEDULE_CASES = [(0.5, 200), (20.0, 140), (700.0, 900), (1e4, 10600)]
 
 
-@pytest.mark.parametrize("storage", ["dense", "csr"])
+# (input form, states): b = 600 is past DENSE_LIMIT, so the tridiagonal P
+# is CSR there
+_OPERAND_CASES = [("dense", 12), ("csr", 12), ("trmat", 12),
+                  ("dense", 600), ("csr", 600), ("trmat", 600)]
+
+
+@pytest.mark.parametrize("storage, b", _OPERAND_CASES,
+                         ids=["dense", "csr", "trmat", "dense-600", "csr-600", "trmat-600"])
 @pytest.mark.parametrize("lam, s", _SCHEDULE_CASES)
-def test_uniformization_rows_equal_the_term_by_term_series(lam, s, storage):
+def test_uniformization_rows_equal_the_term_by_term_series(lam, s, storage, b):
     trmat = assemble(builtin_model("mmc", c=2), Truncation(
-        states=tuple((i,) for i in range(12))), [1.3, 0.7])
-    mat = trmat.matrix if storage == "dense" else sp.csr_matrix(trmat.matrix)
+        states=tuple((i,) for i in range(b))), [1.3, 0.7])
+    mat = {"dense": trmat.to_dense(), "csr": sp.csr_matrix(trmat.to_dense()),
+           "trmat": trmat}[storage]
     q_bar = 1.25 * trmat.q_bar
     t = lam / -q_bar
     rows = np.array([0, 4, 11])
-    want = _reference_uniformization_rows(mat, q_bar, t, s, rows)
-    got = rows_action("uniformization", mat, t, s, rows, q_bar=q_bar)
+    want = _reference_uniformization_rows(trmat.to_dense() if storage == "trmat" else mat,
+                                          q_bar, t, s, rows, csr=b > DENSE_LIMIT)
+    meter = FlopMeter()
+    got = rows_action("uniformization", mat, t, s, rows, meter, q_bar=q_bar)
     assert np.array_equal(got, want.value())
-    assert np.all(got > 0.0)
+    # s >= 140 steps reach every one of the first 12 states
+    assert np.all(got[:, :12] > 0.0)
+    nnz = trmat.rates.size + b
+    assert meter.flops == s * (2 * 3 * b * b if b <= DENSE_LIMIT else 2 * 3 * nnz)
     weights, rescales, anchor = expm._poisson_schedule(-q_bar * t, s)
     assert np.array_equal(weights, want.weights)
     assert dict(rescales) == want.rescales
@@ -352,6 +436,22 @@ def test_uniformization_rows_equal_the_term_by_term_series(lam, s, storage):
         assert len(rescales) >= 5
     if lam == 0.5:
         assert weights[-1] == 0.0
+
+
+@pytest.mark.parametrize("kind, csr", [("dense", False), ("sparse", True)])
+def test_uniformization_operand_storage_follows_its_fill(kind, csr):
+    # past DENSE_LIMIT a full generator keeps the dense BLAS product, and one
+    # with at most 10 rates a row (under a tenth filled) gets the CSR pass
+    b, s = 600, 9
+    Q = random_rate_matrix(kind, b, np.random.default_rng(0))
+    q_bar = 1.25 * float(np.diag(Q).min())
+    rows = np.array([0, 4, 11])
+    meter = FlopMeter()
+    got = rows_action("uniformization", Q, 1.0, s, rows, meter, q_bar=q_bar)
+    want = _reference_uniformization_rows(Q, q_bar, 1.0, s, rows, csr)
+    assert np.array_equal(got, want.value())
+    nnz = np.count_nonzero(Q)
+    assert meter.flops == s * (2 * 3 * nnz if csr else 2 * 3 * b * b)
 
 
 def test_poisson_schedule_jumps_its_anchor_between_renormalizations():
@@ -486,7 +586,7 @@ def _unflushed_skeletoid_rows(mat, diag, t, s, rows):
     kept as the reference. Also says whether any squaring underflowed."""
     b, m = len(diag), len(rows)
     k1, k2 = skeletoid_split(s, b, m)
-    B = expm._bridge_increment(mat, diag, t / float(2**s))
+    B = _full_matrix_bridge_increment(mat, diag, t / float(2**s))
     hits = []
     with np.errstate(under="call", call=lambda err, flag: hits.append(err)):
         for _ in range(k1):
@@ -567,7 +667,7 @@ def _schloegl_level17():
 def test_flushed_squarings_on_the_schloegl_level17_truncation(k):
     trmat, dt, rows = _schloegl_level17()
     s = select_s_skeletoid(trmat.q_bar * dt, 10.0**-k)
-    new, _, gap, bound, underflowed = _flush_gap(trmat.matrix, trmat.diag, dt, s, rows)
+    new, _, gap, bound, underflowed = _flush_gap(trmat.to_dense(), trmat.diag, dt, s, rows)
     assert underflowed
     assert gap <= bound
     assert np.all(new >= 0.0)
@@ -579,7 +679,7 @@ def test_flushed_squarings_are_bit_equal_without_underflow():
     # at k = 14 the far entries' products underflow and the flush runs
     for k in (4.0, 8.0):
         s = select_s_skeletoid(trmat.q_bar, 10.0**-k)
-        new, old, _, _, underflowed = _flush_gap(trmat.matrix, trmat.diag, 1.0, s,
+        new, old, _, _, underflowed = _flush_gap(trmat.to_dense(), trmat.diag, 1.0, s,
                                                  np.arange(14))
         assert not underflowed
         assert np.array_equal(new, old)

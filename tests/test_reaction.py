@@ -65,6 +65,21 @@ def test_negative_propensity_rejected():
         net.propensity_vector((5,), [1.0])
 
 
+def test_a_reaction_that_changes_nothing_is_rejected():
+    # its self-target would sit on the diagonal while its rate still counted
+    # in the exit rate, so assembled rows would disagree with their diagonal
+    with pytest.raises(ValueError, match="reaction 1 changes no species"):
+        ReactionNetwork(
+            update_matrix=np.array([[1], [0], [-1]]),
+            propensities=(lambda x, th: th[0], lambda x, th: 5.0,
+                          lambda x, th: th[1] * x[0]),
+            lower_bounds=(0,),
+            upper_bounds=(5,),
+            param_dim=2,
+            name="idle",
+        )
+
+
 def test_validate_theta_shape_and_sign():
     net = builtin_model("lv3")
     with pytest.raises(ValueError):

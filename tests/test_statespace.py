@@ -24,7 +24,8 @@ from ctmcinfer import (
     seed_reaction_counts,
     seed_truncation,
 )
-from ctmcinfer.statespace import DENSE_LIMIT, default_directions
+from ctmcinfer.expm import DENSE_LIMIT
+from ctmcinfer.statespace import default_directions
 
 
 def test_truncation_rejects_duplicates():
@@ -259,12 +260,9 @@ def test_assemble_keeps_full_diagonal_and_tracks_deficit():
 def test_assemble_dense_below_limit_sparse_above():
     net = builtin_model("mmc", c=1)
     small = assemble(net, Truncation(states=tuple((i,) for i in range(10))), [1.0, 1.0])
-    assert small.is_dense
     big = assemble(
         net, Truncation(states=tuple((i,) for i in range(600))), [1.0, 1.0]
     )
-    assert not big.is_dense
-    assert sp.issparse(big.matrix)
     assert np.allclose(
         big.to_dense()[:10, :10], small.to_dense(), atol=1e-14
     )
@@ -326,25 +324,29 @@ def _assemble_by_rate_row(net, trunc, theta):
                 vals.append(rate)
                 kept += rate
         deficit[i] = -row.diagonal - kept
-    rows.extend(range(b))
-    cols.extend(range(b))
-    vals.extend(diag)
-    mat = sp.csr_matrix(
-        (np.asarray(vals), (np.asarray(rows), np.asarray(cols))), shape=(b, b)
-    )
+    entries = (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64),
+               np.asarray(vals, dtype=float))
+    idx = np.arange(b)
+    dense = sp.csr_matrix((np.concatenate([entries[2], diag]),
+                           (np.concatenate([entries[0], idx]),
+                            np.concatenate([entries[1], idx]))), shape=(b, b)).toarray()
     np.maximum(deficit, 0.0, out=deficit)
-    return (mat.toarray() if b <= DENSE_LIMIT else mat), diag, deficit
+    return dense, entries, diag, deficit
+
+
+def _row_major(rows, cols, rates):
+    order = np.lexsort((cols, rows))
+    return rows[order], cols[order], rates[order]
 
 
 def _assert_bit_identical(net, trunc, theta):
     got = assemble(net, trunc, theta)
-    matrix, diag, deficit = _assemble_by_rate_row(net, trunc, theta)
-    assert got.is_dense == (len(trunc) <= DENSE_LIMIT)
-    if got.is_dense:
-        assert np.array_equal(got.matrix, matrix)
-    else:
-        for attr in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(got.matrix, attr), getattr(matrix, attr))
+    dense, entries, diag, deficit = _assemble_by_rate_row(net, trunc, theta)
+    assert np.array_equal(got.to_dense(), dense)
+    # the reference lists entries state by state, assemble channel by channel
+    for g, w in zip(_row_major(got.rows, got.cols, got.rates), _row_major(*entries)):
+        assert np.array_equal(g, w)
+    assert np.all(got.rows != got.cols)
     assert np.array_equal(got.diag, diag)
     assert np.array_equal(got.deficit, deficit)
     assert got.q_bar == float(diag.min())
@@ -359,7 +361,8 @@ def _box_base(width, n_species):
 
 
 # (model, parameters, ladder base, top level); level 0 holds at most
-# DENSE_LIMIT states and the top level more, so levels cross the limit
+# DENSE_LIMIT states and the top level more, so levels cross the size at
+# which uniformization stores its operand as CSR
 _ASSEMBLY_CASES = [
     ("mmc", {"c": 2}, _wide_base(0, 506), 9),
     ("mmc", {"c": 3, "upper_bounds": (600,)}, _wide_base(0, 506), 9),
@@ -406,16 +409,18 @@ def test_leading_block_equals_assemble_on_the_lower_level(assembly_ladders, data
     got = assemble(ladder.net, ladder.level(hi), theta).leading_block(ladder.level(lo))
     want = assemble(ladder.net, ladder.level(lo), theta)
     assert got.truncation is want.truncation
-    assert got.is_dense == want.is_dense == (len(want.truncation) <= DENSE_LIMIT)
-    if want.is_dense:
-        assert np.array_equal(got.matrix, want.matrix)
-    else:
-        for attr in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(got.matrix, attr), getattr(want.matrix, attr))
-    assert np.array_equal(got.diag, want.diag)
-    assert np.array_equal(got.deficit, want.deficit)
+    assert np.array_equal(got.to_dense(), want.to_dense())
+    for attr in ("rows", "cols", "rates", "diag", "deficit"):
+        assert np.array_equal(getattr(got, attr), getattr(want, attr))
     assert got.q_bar == want.q_bar
-    assert got.nnz == want.nnz
+
+
+def test_ladder_rejects_a_negative_level():
+    # Python's negative indexing would hand back the highest level grown
+    ladder = TruncationLadder(_wide_base(0, 3), builtin_model("mmc", c=1))
+    ladder.level(4)
+    with pytest.raises(ValueError, match="level -1 is negative"):
+        ladder.level(-1)
 
 
 def test_leading_block_needs_a_prefix():

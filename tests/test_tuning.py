@@ -98,6 +98,14 @@ def test_profile_explores_at_least_the_requested_levels():
     assert prof.trunc_values.size == 12
 
 
+@pytest.mark.parametrize("value", [0.0, 1e-320])
+def test_profile_refuses_an_underflowed_target(value):
+    # an RA target is exp(log L); past log L of about -708 it reads 0 or a
+    # subnormal, and a profile of such values places meaningless offsets
+    with pytest.raises(FloatingPointError, match=f"{value!r}.*IA mode"):
+        profile(lambda r, k: value, eps=1e-8)
+
+
 # ---------------------------------------------------------------------------
 # offset placement
 
