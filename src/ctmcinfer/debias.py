@@ -14,6 +14,7 @@ state space (RA), all carried in log space.
 
 from __future__ import annotations
 
+import collections
 import math
 from dataclasses import dataclass, field, replace
 
@@ -21,6 +22,7 @@ import numpy as np
 
 from .datasets import Dataset
 from .expm import (
+    _check_q_bar,
     rows_action,
     select_s_skeletoid,
     select_s_uniformization,
@@ -266,6 +268,11 @@ class EstimatorConfig:
                 )
 
 
+# one queued (truncation level r, accuracy k) evaluation of a target; its
+# blocks start at index first of the call's rows_action results
+_Evaluation = collections.namedtuple("_Evaluation", "r k first")
+
+
 def _observation_plan(base, obs_list) -> list:
     """(dt, sorted source rows, pick rows, pick destinations) per dt.
 
@@ -370,28 +377,58 @@ class LikelihoodEstimator:
         return self.config.law
 
     # -- one (truncation, accuracy) evaluation ------------------------------
+    #
+    # An evaluation queues one rows_action request per dt group; every
+    # request of a call goes through one rows_action call (_evaluate), and
+    # _log_value then reads the evaluation's blocks.
 
-    def _plan(self, trmat, dt: float, k: float):
-        """Method dispatch: (base method, s, q_bar argument)."""
-        eps = 10.0 ** (-float(k))
-        if self.config.method == "skeletoid":
-            return "skeletoid", select_s_skeletoid(trmat.q_bar * dt, eps), None
-        q_bar = self.config.q_bar_global
-        return "uniformization", select_s_uniformization(-q_bar * dt, eps), q_bar
-
-    def _log_value(self, ladder, obs_plan, theta, r: int, k: float,
-                   mat_cache: dict, meter=None) -> float:
-        """log of the product of approximate transition probabilities."""
+    def _matrix(self, ladder, r: int, theta, mat_cache: dict):
+        """The level-r matrix of a ladder, assembled once per call."""
         key = (id(ladder), r)
         trmat = mat_cache.get(key)
         if trmat is None:
-            trmat = assemble(self.net, ladder.level(r), theta)
-            mat_cache[key] = trmat
+            trmat = mat_cache[key] = assemble(self.net, ladder.level(r), theta)
+        return trmat
+
+    def _queue(self, trmat, obs_plan, r: int, k: float,
+               requests: tuple) -> _Evaluation:
+        """Queue one evaluation's requests on trmat, one per dt group, onto
+        the call's (Q, t, s, rows) lists; returns its record.
+
+        Each request is checked as rows_action will check it, so a failing
+        evaluation raises here, not inside the call that serves them all.
+        """
+        eps = 10.0 ** (-float(k))
+        q_bar = self.config.q_bar_global
+        skeletoid = self.config.method == "skeletoid"
+        Qs, ts, ss, rows_lists = requests
+        ev = _Evaluation(r, k, len(Qs))
+        for dt, rows, _, _ in obs_plan:
+            if skeletoid:
+                s = select_s_skeletoid(trmat.q_bar * dt, eps)
+            else:
+                s = select_s_uniformization(-q_bar * dt, eps)
+                _check_q_bar(trmat.q_bar, q_bar)
+            Qs.append(trmat)
+            ts.append(dt)
+            ss.append(s)
+            rows_lists.append(rows)
+        return ev
+
+    def _evaluate(self, requests: tuple, meter=None) -> list:
+        """The blocks of every queued request, from one rows_action call."""
+        if not requests[0]:
+            return []
+        if self.config.method == "skeletoid":
+            return rows_action("skeletoid", *requests, meter)
+        return rows_action("uniformization", *requests, meter, self.config.q_bar_global)
+
+    def _log_value(self, obs_plan, ev: _Evaluation, blocks: list) -> float:
+        """log of the product of one evaluation's approximate transition
+        probabilities."""
         total = 0.0
-        for dt, rows, js, dsts in obs_plan:
-            base_method, s, q_bar = self._plan(trmat, dt, k)
-            block = rows_action(base_method, trmat, dt, s, rows, meter, q_bar)
-            for p in block[js, dsts].tolist():
+        for g, (_, _, js, dsts) in enumerate(obs_plan):
+            for p in blocks[ev.first + g][js, dsts].tolist():
                 # exact values are nonnegative; rounding may leave a tiny
                 # negative at structural zeros
                 p = max(p, 0.0)
@@ -400,36 +437,83 @@ class LikelihoodEstimator:
 
     # -- debiased estimates --------------------------------------------------
 
-    def _debiased(self, key, theta, rng, mat_cache: dict, meter=None) -> float:
-        """Log of one debiased estimate of a target's probability."""
+    def _plan_target(self, key, theta, rng, mat_cache: dict, requests: tuple):
+        """Draw one target's N and queue its telescope's evaluations.
+
+        Returns (law, N, observation plan, evaluations), where evaluations
+        maps each telescope index, in evaluation order, to its record, or
+        to the exception that stopped planning there.
+        """
         ladder, obs_plan = self._target(key)
         seq, law = self.sequence_for(key), self.law_for(key)
         n_draw = law.sample(rng)
         # assemble the top level once; the two lower levels are its blocks
-        levels = (seq.level(0), seq.level(n_draw), seq.level(n_draw + 1))
-        top = mat_cache.get((id(ladder), levels[2]))
-        if top is None:
-            top = assemble(self.net, ladder.level(levels[2]), theta)
-            mat_cache[(id(ladder), levels[2])] = top
-        for r in levels[:2]:
+        top = self._matrix(ladder, seq.level(n_draw + 1), theta, mat_cache)
+        for r in (seq.level(0), seq.level(n_draw)):
             if (id(ladder), r) not in mat_cache:
                 mat_cache[(id(ladder), r)] = top.leading_block(ladder.level(r))
+        evals: dict = {}
+        for n in (0, n_draw, n_draw + 1):
+            if n not in evals:
+                r, k = seq.level(n), seq.accuracy(n)
+                try:
+                    evals[n] = self._queue(mat_cache[(id(ladder), r)], obs_plan,
+                                           r, k, requests)
+                except Exception as exc:
+                    # the telescope raises it when it reaches this index
+                    evals[n] = exc
+                    break
+        return law, n_draw, obs_plan, evals
+
+    def _combine(self, plan, blocks: list) -> float:
+        """Log of one target's debiased estimate from its evaluated blocks."""
+        law, n_draw, obs_plan, evals = plan
 
         def log_value(n):
-            return self._log_value(ladder, obs_plan, theta, seq.level(n),
-                                   seq.accuracy(n), mat_cache, meter)
+            ev = evals[n]
+            if isinstance(ev, Exception):
+                raise ev
+            return self._log_value(obs_plan, ev, blocks)
 
         l0, l_lo, l_hi, _ = _telescope(log_value, 0, n_draw, scale="log")
         return stable_log_combine(l0, l_lo, l_hi, law.mass(n_draw))
 
     def log_estimate(self, theta, rng, meter=None) -> float:
-        """Log-likelihood estimate: one debiased draw per target, summed."""
+        """Log-likelihood estimate: one debiased draw per target, summed.
+
+        Plans every target in order (draws N, assembles, queues requests),
+        evaluates every request with one rows_action call, then combines
+        target by target. The sum stops at the first target that makes it
+        -inf; rng is then rewound to where the draws of the targets up to
+        that one leave it, as if no later target had drawn. A target whose
+        planning raised raises when the combine reaches it, so it cannot
+        pre-empt an earlier -inf or MonotonicityError.
+        """
         theta = self.net.validate_theta(theta)
+        # a single target leaves no later draw to take back
+        start = rng.bit_generator.state if len(self.targets) > 1 else None
         mat_cache: dict = {}
-        total = 0.0
+        requests: tuple = ([], [], [], [])
+        plans: list = []
         for key in self.targets:
-            total += self._debiased(key, theta, rng, mat_cache, meter)
+            try:
+                plans.append(self._plan_target(key, theta, rng, mat_cache, requests))
+            except Exception as exc:
+                # raised when the combine reaches this target; no later
+                # target is planned, as none would have been reached
+                plans.append(exc)
+                break
+        blocks = self._evaluate(requests, meter)
+        total = 0.0
+        for j, plan in enumerate(plans):
+            if isinstance(plan, Exception):
+                raise plan
+            total += self._combine(plan, blocks)
             if total == -math.inf:
+                if j + 1 < len(plans):
+                    rng.bit_generator.state = start
+                    for key in self.targets[:j + 1]:
+                        self.law_for(key).sample(rng)
                 break
         return total
 
@@ -450,9 +534,11 @@ class LikelihoodEstimator:
             mat_cache = {}
 
         def f(r: int, k: float) -> float:
-            return math.exp(
-                self._log_value(ladder, obs_plan, theta, r, k, mat_cache, meter)
-            )
+            requests: tuple = ([], [], [], [])
+            ev = self._queue(self._matrix(ladder, r, theta, mat_cache), obs_plan,
+                             r, k, requests)
+            return math.exp(self._log_value(obs_plan, ev,
+                                            self._evaluate(requests, meter)))
 
         return f
 
@@ -461,8 +547,14 @@ class LikelihoodEstimator:
         """log L at fixed truncation level and accuracy, no debiasing."""
         theta = self.net.validate_theta(theta)
         mat_cache: dict = {}
-        total = 0.0
+        requests: tuple = ([], [], [], [])
+        evals = []
         for key in self.targets:
-            total += self._log_value(*self._target(key), theta, r, k,
-                                     mat_cache, meter)
+            ladder, obs_plan = self._target(key)
+            evals.append((obs_plan, self._queue(self._matrix(ladder, r, theta, mat_cache),
+                                                obs_plan, r, k, requests)))
+        blocks = self._evaluate(requests, meter)
+        total = 0.0
+        for obs_plan, ev in evals:
+            total += self._log_value(obs_plan, ev, blocks)
         return total

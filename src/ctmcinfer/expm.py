@@ -12,6 +12,11 @@ sub-conservative rate matrices Q:
 
 Both support full-matrix evaluation and a row-targeted action that computes
 only selected rows, with a FLOP meter counting matrix-multiplication work.
+The row action also takes lists of requests and returns each one's block,
+bit for bit as its own call would: uniformization requests with equal state
+and row counts and a dense P then run as one stacked series, one matmul per
+term over all of them, which removes the per-call and per-term overhead that
+dominates many small truncations.
 
 Every input (a TruncatedRateMatrix, an ndarray or a scipy sparse matrix) is
 read as its nonzero off-diagonal rates and its diagonal; only the
@@ -277,8 +282,9 @@ def skeletoid_split(k: int, b: int, m: int) -> tuple:
 # uniformization
 
 
-def _check_q_bar(diag, q_bar):
-    smallest = diag.min()
+def _check_q_bar(smallest, q_bar):
+    """Raise unless q_bar lies at or below the smallest diagonal entry and
+    is nonpositive."""
     if q_bar > smallest + 1e-12 * max(1.0, abs(smallest)):
         raise ValueError(
             f"q_bar={q_bar} must lie at or below the smallest diagonal {smallest}"
@@ -359,69 +365,166 @@ def uniformization(Q, t: float, s: int, meter: FlopMeter | None = None,
 # row-targeted action
 
 
-def rows_action(method: str, Q, t: float, s: int, rows,
-                meter: FlopMeter | None = None,
-                q_bar: float | None = None) -> np.ndarray:
+def rows_action(method: str, Q, t, s, rows,
+                meter: FlopMeter | None = None, q_bar=None):
     """Selected rows of the order-s approximation to exp(tQ).
 
     Returns an (m, b) block, rows in the order given. The uniformization
     route runs the selector-row recursion; the bridge-product route squares
     the base matrix part of the way and finishes with row passes, splitting
     the work by the modeled cost.
+
+    List form: Q, t, s and rows are equal-length lists of requests, and
+    q_bar is a list or one value for all of them. Returns the list of
+    blocks, each equal bit for bit to its own single call, and meters the
+    same total. Every request is validated, in list order, before any
+    arithmetic. Skeletoid requests run one after another; uniformization
+    requests with equal state and row counts and a dense P run as one
+    stacked series (_stacked_series), any other one alone (_series).
     """
+    if not isinstance(Q, list):
+        return rows_action(method, [Q], [t], [s], [rows], meter, q_bar)[0]
+    q_bars = q_bar if isinstance(q_bar, list) else [q_bar] * len(Q)
+    if not len(Q) == len(t) == len(s) == len(rows) == len(q_bars):
+        raise ValueError("the request lists must have equal lengths")
+    requests = [_request(method, *req) for req in zip(Q, t, s, rows, q_bars)]
+    if method == "skeletoid":
+        return [_skeletoid_rows(*req, meter) for req in requests]
+    if method != "uniformization":
+        raise ValueError(f"unknown method {method!r}")
+    blocks = [None] * len(requests)
+    groups: dict = {}
+    for i, (Q, _, _, rows) in enumerate(requests):
+        b = Q.diag.size
+        if Q.q_bar == 0.0:
+            blocks[i] = np.eye(b)[rows]
+            continue
+        dense = b <= DENSE_LIMIT or Q.rates.size + b > _CSR_MAX_FILL * b * b
+        # a CSR P runs alone; requests are never padded to a common b
+        groups.setdefault((b, rows.size) if dense else i, []).append(i)
+    for members in groups.values():
+        if len(members) == 1:
+            blocks[members[0]] = _series(*requests[members[0]], meter)
+            continue
+        for i, block in zip(members, _stacked_series(
+                [requests[i] for i in members], meter)):
+            blocks[i] = block
+    return blocks
+
+
+def _request(method: str, Q, t: float, s: int, rows, q_bar) -> tuple:
+    """One rows_action request, validated: (entries, t, s, rows)."""
     Q = _parts(Q, q_bar)
-    diag, q_bar = Q.diag, Q.q_bar
-    b = len(diag)
     rows = np.asarray(rows, dtype=np.int64)
     if rows.ndim != 1 or rows.size == 0:
         raise ValueError("rows must be a nonempty 1-D index list")
-    if rows.min() < 0 or rows.max() >= b:
+    # on the few rows of a request, Python's min and max cost less than two
+    # numpy reductions
+    listed = rows.tolist()
+    if min(listed) < 0 or max(listed) >= Q.diag.size:
         raise ValueError("row index out of range")
     if s < 0:
         raise ValueError("s must be nonnegative")
-    m = rows.size
-
     if method == "uniformization":
-        _check_q_bar(diag, q_bar)
-        if q_bar == 0.0:
-            return np.eye(b)[rows]
-        lam = -q_bar * t
-        P = _uniformized(Q)
-        dense = isinstance(P, np.ndarray)
-        weights, rescales, anchor = _poisson_schedule(lam, s)
-        block = np.zeros((m, b))
-        block[np.arange(m), rows] = 1.0
-        acc = block.copy()
-        for n, w in zip(range(1, s + 1), weights[1:].tolist()):
-            # ndarray.dot makes the BLAS call @ makes, bit for bit, with
-            # less per-call overhead; a sparse P needs @
-            block = block.dot(P) if dense else block @ P
-            if meter is not None:
-                if dense:
-                    meter.add_block_product(m, b)
-                else:
-                    meter.add_sparse_pass(m, P.nnz)
-            if n in rescales:
-                acc *= rescales[n]
-            if w != 0.0:
-                acc += w * block
-        return acc * math.exp(anchor)
+        _check_q_bar(Q.diag.min(), Q.q_bar)
+    return Q, t, s, rows
 
-    if method == "skeletoid":
-        k1, k2 = skeletoid_split(s, b, m)
-        delta = t / float(2**s)
-        B = _squarings(_bridge_increment(Q, delta), k1, meter)
-        # the first pass from the selector rows needs no product:
-        # e_r (I + B) = e_r + B[r]
-        block = B[rows]
-        block[np.arange(m), rows] += 1.0
-        for _ in range(2**k2 - 1):
-            block = block + block @ B
-            if meter is not None:
-                meter.add_block_product(m, b)
-        return block
 
-    raise ValueError(f"unknown method {method!r}")
+def _skeletoid_rows(Q: _Entries, t: float, s: int, rows: np.ndarray,
+                    meter: FlopMeter | None) -> np.ndarray:
+    """The bridge-product block of one validated request."""
+    b, m = Q.diag.size, rows.size
+    k1, k2 = skeletoid_split(s, b, m)
+    delta = t / float(2**s)
+    B = _squarings(_bridge_increment(Q, delta), k1, meter)
+    # the first pass from the selector rows needs no product:
+    # e_r (I + B) = e_r + B[r]
+    block = B[rows]
+    block[np.arange(m), rows] += 1.0
+    for _ in range(2**k2 - 1):
+        block = block + block @ B
+        if meter is not None:
+            meter.add_block_product(m, b)
+    return block
+
+
+def _series(Q: _Entries, t: float, s: int, rows: np.ndarray,
+            meter: FlopMeter | None) -> np.ndarray:
+    """The uniformization block of one validated request, term by term.
+
+    Runs a request that has no partner of its state and row count, or a
+    CSR P: on one block, ndarray.dot costs less per term than a matmul
+    over a stack of one.
+    """
+    b, m = Q.diag.size, rows.size
+    P = _uniformized(Q)
+    dense = isinstance(P, np.ndarray)
+    weights, rescales, anchor = _poisson_schedule(-Q.q_bar * t, s)
+    block = np.zeros((m, b))
+    block[np.arange(m), rows] = 1.0
+    acc = block.copy()
+    for n, w in zip(range(1, s + 1), weights[1:].tolist()):
+        # ndarray.dot makes the BLAS call @ makes, bit for bit, with
+        # less per-call overhead; a sparse P needs @
+        block = block.dot(P) if dense else block @ P
+        if n in rescales:
+            acc *= rescales[n]
+        if w != 0.0:
+            acc += w * block
+    if meter is not None and s:
+        if dense:
+            meter.add_block_product(m * s, b)
+        else:
+            meter.add_sparse_pass(m * s, P.nnz)
+    return acc * math.exp(anchor)
+
+
+def _stacked_series(requests: list, meter: FlopMeter | None) -> list:
+    """Uniformization blocks of validated requests sharing b, m and a
+    dense P, in the order given.
+
+    The P matrices are stacked as (T, b, b), sorted by s, largest first, so
+    the k requests still summing at term n are a prefix: the term is one
+    matmul over that prefix, which makes, item by item, the BLAS call
+    ndarray.dot makes on one block. Each running sum first takes its own
+    rescale factor (1.0 for a request that does not rescale there), then
+    adds its weight times its block. A zero weight adds +0.0, which leaves
+    the nonnegative sum as it is, so each block equals _series bit for bit.
+    """
+    order = sorted(range(len(requests)), key=lambda i: -requests[i][2])
+    ranked = [requests[i] for i in order]
+    T, (Q0, _, top, rows0) = len(ranked), ranked[0]
+    b, m = Q0.diag.size, rows0.size
+    Ps = np.stack([_uniformized(Q) for Q, _, _, _ in ranked])
+    block = np.zeros((T, m, b))
+    # weights[n, j] is request j's term-n weight; factors[n][j] its rescale
+    weights = np.zeros((top + 1, T, 1, 1))
+    factors: dict = {}
+    anchors = []
+    for j, (Q, t, s, rows) in enumerate(ranked):
+        block[j, np.arange(m), rows] = 1.0
+        w, rescales, anchor = _poisson_schedule(-Q.q_bar * t, s)
+        weights[:s + 1, j, 0, 0] = w
+        for n, factor in rescales.items():
+            factors.setdefault(n, np.ones((T, 1, 1)))[j] = factor
+        anchors.append(anchor)
+        if meter is not None and s:
+            meter.add_block_product(m * s, b)
+    acc = block.copy()
+    k, acc_k = T, acc
+    for n in range(1, top + 1):
+        if ranked[k - 1][2] < n:
+            while ranked[k - 1][2] < n:
+                k -= 1
+            block, Ps, acc_k, weights = block[:k], Ps[:k], acc[:k], weights[:, :k]
+        block = np.matmul(block, Ps)
+        if n in factors:
+            acc_k *= factors[n][:k]
+        acc_k += weights[n] * block
+    out = [None] * T
+    for j, i in enumerate(order):
+        out[i] = acc[j] * math.exp(anchors[j])
+    return out
 
 
 def computable_error(rows_block: np.ndarray) -> float:

@@ -288,9 +288,11 @@ def seed_truncation(net: ReactionNetwork, x_from, x_to) -> Truncation:
 # assembled matrices
 
 
-@dataclass
+@dataclass(eq=False)
 class TruncatedRateMatrix:
     """Rate matrix restricted to a truncation, diagonal taken on the full lattice.
+
+    Two matrices compare, and hash, by identity: their fields are arrays.
 
     rows, cols and rates hold the kept off-diagonal rates, channel after
     channel in assembly order; every (row, col) pair is distinct and off the

@@ -546,13 +546,13 @@ def _crafted_estimator(method):
     est = LikelihoodEstimator(net, _queue_dataset([[1], [2]]),
                               EstimatorConfig(**cfg_kwargs))
 
-    def crafted(ladder, obs_list, theta, r, k, mat_cache, meter=None):
+    def crafted(obs_plan, ev, blocks):
         # non-monotone at the requested accuracy, monotone at the cap: a
         # retry at the cap for the drawn pair alone would hide the violation
         # and make the telescoped sequence depend on the draw
-        if k >= ACCURACY_CAP:
-            return math.log(0.45) if r == 0 else math.log(0.46)
-        return math.log(0.50) if r == 0 else math.log(0.40)
+        if ev.k >= ACCURACY_CAP:
+            return math.log(0.45) if ev.r == 0 else math.log(0.46)
+        return math.log(0.50) if ev.r == 0 else math.log(0.40)
 
     est._log_value = crafted
     return est
@@ -563,3 +563,120 @@ def test_other_methods_surface_monotonicity_violations(method):
     est = _crafted_estimator(method)
     with pytest.raises(MonotonicityError):
         est.log_estimate([1.0, 1.0], np.random.default_rng(0))
+
+
+# ---------------------------------------------------------------------------
+# one rows_action call per estimate: the sum still stops where it did
+
+
+def _three_queue_targets(net=None, **cfg):
+    # three IA targets with distinct time steps, so a request's t names its
+    # target; the last one reaches state 12, where the mmc exit rate is 11
+    net = net or builtin_model("mmc", c=10)
+    data = Dataset(np.array([0.0, 1.0, 3.0, 6.0]), np.array([[0], [1], [3], [12]]),
+                   model="mmc")
+    laws = (GeometricLaw(0.5), GeometricLaw(0.8), GeometricLaw(0.7))
+    return LikelihoodEstimator(net, data, EstimatorConfig(
+        mode="ia", sequence=JointSequence(0, 4.0, 0.1), laws=laws, **cfg))
+
+
+def _zero_blocks_at(monkeypatch, dt):
+    """Patch debias.rows_action to zero every block of time step dt."""
+    calls = []
+    real = debias.rows_action
+
+    def zeroing(method, Q, t, s, rows, meter=None, q_bar=None):
+        calls.append(len(Q))
+        blocks = real(method, Q, t, s, rows, meter, q_bar)
+        return [0.0 * b if ti == dt else b for b, ti in zip(blocks, t)]
+
+    monkeypatch.setattr(debias, "rows_action", zeroing)
+    return calls
+
+
+def _drawn(laws, seed):
+    rng = np.random.default_rng(seed)
+    for law in laws:
+        law.sample(rng)
+    return rng.bit_generator.state
+
+
+def test_a_neg_inf_target_stops_the_sum_and_rewinds_later_draws(monkeypatch):
+    est = _three_queue_targets()
+    laws = est.config.laws
+    theta = np.array([1.0, 1.0])
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        assert math.isfinite(est.log_estimate(theta, rng))
+        assert rng.bit_generator.state == _drawn(laws, seed)
+    calls = _zero_blocks_at(monkeypatch, 2.0)
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        assert est.log_estimate(theta, rng) == -math.inf
+        # target 1 stops the sum: only the first two targets have drawn
+        assert rng.bit_generator.state == _drawn(laws[:2], seed)
+    # every target was planned, and each estimate made one rows_action call
+    assert len(calls) == 4
+    assert all(n >= 6 for n in calls)
+
+
+def _late_failure(kind):
+    """An estimator whose last target fails to plan, and the message."""
+    if kind == "q_bar":
+        # q_bar_global = -9.5 dominates every diagonal targets 0 and 1 reach
+        # at the draws below, but not target 2's: its level 0 has exit rate 11
+        return (_three_queue_targets(method="uniformization_global", q_bar_global=-9.5),
+                "smallest diagonal")
+    # service turns negative above state 10, so only target 2 fails to assemble
+    net = ReactionNetwork(
+        update_matrix=np.array([[1], [-1]]),
+        propensities=(lambda x, th: th[0],
+                      lambda x, th: th[1] * x[0] if x[0] <= 10 else -1.0),
+        lower_bounds=(0,), upper_bounds=(None,), param_dim=2, name="mmc")
+    return _three_queue_targets(net), "reaction 1"
+
+
+@pytest.mark.parametrize("kind", ["q_bar", "assembly"])
+@pytest.mark.parametrize("earlier", [None, "neg_inf", "non_monotone"])
+def test_a_later_failure_does_not_preempt_an_earlier_stop(monkeypatch, kind, earlier):
+    est, message = _late_failure(kind)
+    theta = np.array([1.0, 1.0])
+    if earlier == "neg_inf":
+        _zero_blocks_at(monkeypatch, 1.0)
+    if earlier == "non_monotone":
+        log_value = est._log_value
+
+        def crafted(obs_plan, ev, blocks):
+            if obs_plan is est._plans[0]:
+                return math.log(0.50) if ev.r == 0 else math.log(0.40)
+            return log_value(obs_plan, ev, blocks)
+
+        est._log_value = crafted
+    rng = np.random.default_rng(3)
+    if earlier is None:
+        with pytest.raises(ValueError, match=message):
+            est.log_estimate(theta, rng)
+    elif earlier == "neg_inf":
+        assert est.log_estimate(theta, rng) == -math.inf
+        assert rng.bit_generator.state == _drawn(est.config.laws[:1], 3)
+    else:
+        with pytest.raises(MonotonicityError):
+            est.log_estimate(theta, rng)
+
+
+def test_a_failing_top_level_does_not_preempt_the_check_below_it():
+    # one target, N = 1: levels 0 and 1 lie within q_bar_global = -3.5, the
+    # top level 2 does not (exit rate 4), and the crafted values decrease
+    # from level 0 to 1, a check the telescope makes before it reaches level 2
+    law = GeometricLaw(0.5)
+    seed = next(i for i in range(100) if law.sample(np.random.default_rng(i)) == 1)
+    est = LikelihoodEstimator(builtin_model("mmc", c=10), _queue_dataset([[0], [1]], 1.0),
+                              EstimatorConfig(mode="ia", method="uniformization_global",
+                                              q_bar_global=-3.5, law=law,
+                                              sequence=JointSequence(0, 4.0, 0.1)))
+    theta = np.array([1.0, 1.0])
+    with pytest.raises(ValueError, match="smallest diagonal"):
+        est.log_estimate(theta, np.random.default_rng(seed))
+    est._log_value = lambda obs_plan, ev, blocks: math.log(0.5 if ev.r == 0 else 0.4)
+    with pytest.raises(MonotonicityError):
+        est.log_estimate(theta, np.random.default_rng(seed))

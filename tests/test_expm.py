@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.stats
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ctmcinfer import (
@@ -452,6 +452,135 @@ def test_uniformization_operand_storage_follows_its_fill(kind, csr):
     assert np.array_equal(got, want.value())
     nnz = np.count_nonzero(Q)
     assert meter.flops == s * (2 * 3 * nnz if csr else 2 * 3 * b * b)
+
+
+def _per_term_rows(Q, t, s, rows, q_bar):
+    """The uniformization loop rows_action ran for each request before
+    requests were stacked, kept as the reference: one product per term, the
+    running sum rescaled where the cached schedule says, zero weights
+    skipped."""
+    Q = expm._parts(Q, q_bar)
+    P = expm._uniformized(Q)
+    dense = isinstance(P, np.ndarray)
+    weights, rescales, anchor = expm._poisson_schedule(-Q.q_bar * t, s)
+    rows = np.asarray(rows)
+    block = np.zeros((rows.size, Q.diag.size))
+    block[np.arange(rows.size), rows] = 1.0
+    acc = block.copy()
+    for n, w in zip(range(1, s + 1), weights[1:].tolist()):
+        block = block.dot(P) if dense else block @ P
+        if n in rescales:
+            acc *= rescales[n]
+        if w != 0.0:
+            acc += w * block
+    return acc * math.exp(anchor)
+
+
+@functools.cache
+def _queue_matrix(b, variant):
+    # b = 600 is past DENSE_LIMIT and tridiagonal, so its P is CSR
+    theta = [[1.3, 0.7], [0.4, 2.5]][variant]
+    return assemble(builtin_model("mmc", c=2),
+                    Truncation(states=tuple((i,) for i in range(b))), theta)
+
+
+def _request_lists(reqs):
+    """(Q, t, s, rows, q_bar) lists from (b, variant, rows, s, lam, factor)
+    tuples, with t = lam / -q_bar."""
+    lists = ([], [], [], [], [])
+    for b, variant, rows, s, lam, factor in reqs:
+        Q = _queue_matrix(b, variant)
+        q_bar = factor * Q.q_bar
+        for column, value in zip(lists, (Q, lam / -q_bar, s, np.array(rows), q_bar)):
+            column.append(value)
+    return lists
+
+
+@st.composite
+def _requests(draw, sizes, max_s, lams, factors):
+    """1-12 requests whose (b, row count) come from a pool of at most three,
+    so most lists stack some of them."""
+    shapes = draw(st.lists(st.tuples(sizes, st.integers(1, 4)), min_size=1, max_size=3))
+    reqs = []
+    for _ in range(draw(st.integers(1, 12))):
+        b, m = draw(st.sampled_from(shapes))
+        reqs.append((b, draw(st.integers(0, 1)),
+                     draw(st.lists(st.integers(0, b - 1), min_size=m, max_size=m)),
+                     draw(st.integers(0, max_s)), draw(st.sampled_from(lams)),
+                     draw(st.sampled_from(factors))))
+    return reqs
+
+
+# lam >= 100 with s > 64 rescales at term 64
+@settings(max_examples=80, deadline=None)
+@given(_requests(st.one_of(st.integers(1, 20), st.just(600)), 80,
+                 [0.5, 3.0, 20.0, 100.0, 150.0], [1.0, 1.25, 3.0]))
+@example([(13, 0, [1], 80, 100.0, 1.0), (13, 1, [2], 70, 150.0, 1.25),
+          (13, 0, [5], 30, 3.0, 3.0), (600, 0, [7], 80, 100.0, 1.0),
+          (4, 0, [0, 3], 0, 20.0, 1.0), (4, 1, [1, 1], 66, 100.0, 1.0)])
+def test_uniformization_request_lists_equal_their_single_calls(reqs):
+    Q, t, s, rows, q_bar = _request_lists(reqs)
+    meter = FlopMeter()
+    got = rows_action("uniformization", Q, t, s, rows, meter, q_bar)
+    assert len(got) == len(reqs)
+    single_flops = 0
+    for i in range(len(reqs)):
+        want = _per_term_rows(Q[i], t[i], s[i], rows[i], q_bar[i])
+        assert np.array_equal(got[i], want)
+        assert np.array_equal(np.signbit(got[i]), np.signbit(want))
+        single = FlopMeter()
+        assert np.array_equal(
+            rows_action("uniformization", Q[i], t[i], s[i], rows[i], single, q_bar[i]), want)
+        single_flops += single.flops
+    assert meter.flops == single_flops
+
+
+def test_the_rescaling_example_rescales():
+    assert 64 in expm._poisson_schedule(100.0, 80)[1]
+    assert 64 in expm._poisson_schedule(100.0, 66)[1]
+
+
+@settings(max_examples=30, deadline=None)
+@given(_requests(st.integers(1, 20), 20, [0.1, 1.0, 5.0], [1.0]))
+def test_skeletoid_request_lists_equal_their_single_calls(reqs):
+    Q, t, s, rows, _ = _request_lists(reqs)
+    meter = FlopMeter()
+    got = rows_action("skeletoid", Q, t, s, rows, meter)
+    single_flops = 0
+    for i in range(len(reqs)):
+        single = FlopMeter()
+        want = rows_action("skeletoid", Q[i], t[i], s[i], rows[i], single)
+        assert np.array_equal(got[i], want)
+        assert np.array_equal(np.signbit(got[i]), np.signbit(want))
+        single_flops += single.flops
+    assert meter.flops == single_flops
+
+
+def test_one_q_bar_serves_a_whole_request_list():
+    Q = [_queue_matrix(13, 0), _queue_matrix(13, 1), _queue_matrix(5, 0)]
+    q_bar = 1.5 * min(m.q_bar for m in Q)
+    got = rows_action("uniformization", Q, [1.0, 2.0, 1.0], [30, 40, 20],
+                      [[0], [4], [2]], None, q_bar)
+    for block, m, t, s, r in zip(got, Q, [1.0, 2.0, 1.0], [30, 40, 20], [[0], [4], [2]]):
+        assert np.array_equal(block, _per_term_rows(m, t, s, r, q_bar))
+
+
+def test_request_lists_are_validated_in_order_before_any_arithmetic():
+    Q = _queue_matrix(5, 0)
+    meter = FlopMeter()
+    with pytest.raises(ValueError, match="row index out of range"):
+        rows_action("uniformization", [Q, Q, Q], [1.0] * 3, [10, 10, -1],
+                    [[0], [7], [0]], meter, Q.q_bar)
+    with pytest.raises(ValueError, match="nonnegative"):
+        rows_action("skeletoid", [Q, Q], [1.0, 1.0], [3, -1], [[0], [0]], meter)
+    with pytest.raises(ValueError, match="smallest diagonal"):
+        rows_action("uniformization", [Q, Q], [1.0, 1.0], [3, 3], [[0], [0]], meter,
+                    [Q.q_bar, 0.5 * Q.q_bar])
+    with pytest.raises(ValueError, match="unknown method"):
+        rows_action("taylor", [Q], [1.0], [3], [[0]], meter)
+    assert meter.flops == 0
+    with pytest.raises(ValueError, match="equal lengths"):
+        rows_action("uniformization", [Q, Q], [1.0], [3, 3], [[0], [0]])
 
 
 def test_poisson_schedule_jumps_its_anchor_between_renormalizations():

@@ -257,6 +257,19 @@ def test_assemble_keeps_full_diagonal_and_tracks_deficit():
     assert row_sums[3] == pytest.approx(-1.0)
 
 
+def test_assembled_matrices_compare_by_identity():
+    # their fields are arrays, so a field-wise == would raise on truth value
+    net = builtin_model("mmc", c=1)
+    tr = Truncation(states=((0,), (1,), (2,), (3,)))
+    a, b = assemble(net, tr, [1.0, 1.0]), assemble(net, tr, [1.0, 1.0])
+    assert not a == b
+    assert a != b
+    assert a == a
+    assert a in [a]
+    assert a not in [b]
+    assert len({a, b, a}) == 2
+
+
 def test_assemble_dense_below_limit_sparse_above():
     net = builtin_model("mmc", c=1)
     small = assemble(net, Truncation(states=tuple((i,) for i in range(10))), [1.0, 1.0])

@@ -5,17 +5,21 @@ Usage: python3 tools/workload_digests.py [--root CHECKOUT]
 Each digest covers, in order: the tuned config text, theta_MAP and the
 proposal covariance from `perfbench/workload.set_up`; N `log_estimate` values
 at theta_MAP * exp(0.05 z), z ~ default_rng(2), drawn with default_rng(1)
-(N = 150, or 40 for `lv4_ra`); and `deterministic_log_likelihood(theta_MAP,
-10, 12.0)`. Two checkouts with equal digests give the same estimates bit for
-bit. `--root` points at another checkout, whose `src` and `perfbench` are
-imported instead of this one's, so the script can run against a revision
-that does not have it. Nothing under `perfbench/` is changed.
+(N = 150, or 40 for `lv4_ra`); the state of that estimate generator after
+the N draws, so a change in how many random numbers an estimate consumes
+changes the digest; and `deterministic_log_likelihood(theta_MAP, 10, 12.0)`.
+Two checkouts with equal digests give the same estimates bit for bit and
+leave the estimate generator in the same state. `--root` points at another
+checkout, whose `src` and `perfbench` are imported instead of this one's, so
+the script can run against a revision that does not have it. Nothing under
+`perfbench/` is changed.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import sys
 from pathlib import Path
@@ -49,6 +53,7 @@ def digest(workload, wl) -> str:
     for _ in range(DRAWS.get(wl.name, DEFAULT_DRAWS)):
         theta = theta_map * np.exp(0.05 * z_rng.standard_normal(theta_map.size))
         values.append(ready.estimator.log_estimate(theta, est_rng))
+    h.update(json.dumps(est_rng.bit_generator.state, sort_keys=True).encode())
     values.append(ready.estimator.deterministic_log_likelihood(theta_map, 10, 12.0))
     h.update(np.array(values, dtype=float).tobytes())
     return h.hexdigest()
