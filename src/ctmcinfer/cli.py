@@ -80,29 +80,32 @@ class _UsageError(Exception):
 # small coercion helpers: values may arrive typed (flag) or as strings (file)
 
 
-def _as_int(v) -> int:
-    return int(str(v))
+def _parsed(convert, value, name: str):
+    """convert(value); a malformed value is a usage error naming its source."""
+    try:
+        return convert(value)
+    except ValueError as exc:
+        raise _UsageError(f"{name}: {exc}") from exc
 
 
-def _as_float(v) -> float:
-    return float(str(v))
+def _option(cfg: dict, key: str, convert):
+    """convert(cfg[key]), which must be set; a malformed value, from a flag
+    or the config file, is a usage error naming the option."""
+    return _parsed(convert, _require(cfg, key), "--" + key.replace("_", "-"))
+
+
+def _floats(v) -> list:
+    return [float(x) for x in _strs(v)]
+
+
+def _ints(v) -> list:
+    return [int(x) for x in _strs(v)]
+
 
 def _as_bool(v) -> bool:
     if isinstance(v, bool):
         return v
     return str(v).strip().lower() in ("1", "true", "yes", "on")
-
-
-def _floats(v) -> list:
-    if isinstance(v, (list, tuple)):
-        return [float(x) for x in v]
-    return [float(x) for x in str(v).split(",") if x.strip()]
-
-
-def _ints(v) -> list:
-    if isinstance(v, (list, tuple)):
-        return [int(x) for x in v]
-    return [int(x) for x in str(v).split(",") if x.strip()]
 
 
 def _strs(v) -> list:
@@ -338,9 +341,9 @@ def _model(cfg: dict):
     name = _require(cfg, "model")
     params = {}
     if cfg["c"] is not None:
-        params["c"] = _as_int(cfg["c"])
+        params["c"] = _option(cfg, "c", int)
     if cfg["upper_bounds"] is not None:
-        params["upper_bounds"] = tuple(_ints(cfg["upper_bounds"]))
+        params["upper_bounds"] = tuple(_option(cfg, "upper_bounds", _ints))
     try:
         return builtin_model(str(name), **params)
     except (TypeError, ValueError) as exc:
@@ -361,11 +364,11 @@ def _dataset(cfg: dict, net):
 def _build_prior(cfg: dict, dim: int) -> Prior:
     kind = str(cfg["prior"])
     if kind == "lognormal":
-        marginal = LogNormalPrior(_as_float(cfg["prior_mu"]),
-                                  _as_float(cfg["prior_sigma"]))
+        marginal = LogNormalPrior(_option(cfg, "prior_mu", float),
+                                  _option(cfg, "prior_sigma", float))
     elif kind == "gamma":
-        marginal = GammaPrior(_as_float(cfg["prior_shape"]),
-                              _as_float(cfg["prior_rate"]))
+        marginal = GammaPrior(_option(cfg, "prior_shape", float),
+                              _option(cfg, "prior_rate", float))
     else:
         raise _UsageError(f"unknown prior {kind!r}")
     return Prior.iid(marginal, dim)
@@ -381,7 +384,7 @@ def _estimator_config(cfg: dict, provided: set, tuned=None) -> EstimatorConfig:
                           f"mode {base.mode}")
     method = (str(cfg["method"]) if tuned is None or "method" in provided
               else base.method)
-    q_bar = base.q_bar_global if cfg["qbar"] is None else _as_float(cfg["qbar"])
+    q_bar = base.q_bar_global if cfg["qbar"] is None else _option(cfg, "qbar", float)
     if method == "uniformization_global":
         if q_bar is None or not math.isfinite(q_bar) or q_bar >= 0:
             raise _UsageError(
@@ -397,11 +400,11 @@ def _estimator_config(cfg: dict, provided: set, tuned=None) -> EstimatorConfig:
 
 def _schedule(cfg: dict) -> list:
     if cfg["times"] is not None:
-        return _floats(cfg["times"])
+        return _option(cfg, "times", _floats)
     if cfg["tend"] is None or cfg["dt"] is None:
         raise _UsageError("either --times or both --tend and --dt are required")
-    tend = _as_float(cfg["tend"])
-    dt = _as_float(cfg["dt"])
+    tend = _option(cfg, "tend", float)
+    dt = _option(cfg, "dt", float)
     if dt <= 0 or tend <= 0:
         raise _UsageError("--tend and --dt must be positive")
     n = int(math.floor(tend / dt + 1e-9))
@@ -421,10 +424,10 @@ def _chain_paths(out: Path, n_chains: int) -> list:
 
 def _cmd_simulate(cfg: dict, provided: set) -> int:
     net = _model(cfg)
-    theta = _floats(_require(cfg, "theta"))
-    x0 = _ints(_require(cfg, "x0"))
+    theta = _option(cfg, "theta", _floats)
+    x0 = _option(cfg, "x0", _ints)
     schedule = _schedule(cfg)
-    seed = _as_int(cfg["seed"])
+    seed = _option(cfg, "seed", int)
     out = Path(_require(cfg, "out"))
 
     rng = np.random.default_rng(seed)
@@ -439,11 +442,11 @@ def _cmd_simulate(cfg: dict, provided: set) -> int:
 def _cmd_tune(cfg: dict, provided: set) -> int:
     net = _model(cfg)
     dataset = _dataset(cfg, net)
-    theta_init = np.asarray(_floats(_require(cfg, "theta_init")))
+    theta_init = np.asarray(_option(cfg, "theta_init", _floats))
     out = Path(_require(cfg, "out"))
-    seed = _as_int(cfg["seed"])
-    eps = _as_float(cfg["eps"])
-    n_draws = _as_int(cfg["n_draws"])
+    seed = _option(cfg, "seed", int)
+    eps = _option(cfg, "eps", float)
+    n_draws = _option(cfg, "n_draws", int)
     if n_draws < 2:
         raise _UsageError("--n-draws must be at least 2 to measure a spread")
 
@@ -461,12 +464,12 @@ def _cmd_tune(cfg: dict, provided: set) -> int:
         tuned = grid_select(
             net, dataset, prior, theta, v_hat, base_config,
             n_draws=n_draws,
-            short_run=_as_int(cfg["short_run"]),
+            short_run=_option(cfg, "short_run", int),
             seed=seed, eps=eps,
         )
     else:
         tuned = tune_estimator(estimator, theta,
-                               p_min=_as_float(cfg["p_min"]), eps=eps)
+                               p_min=_option(cfg, "p_min", float), eps=eps)
         noisy = LikelihoodEstimator(net, dataset, tuned.to_estimator_config())
         sigma_zeta = estimate_sigma_zeta(
             noisy, theta, n_draws=n_draws, seed=seed,
@@ -482,7 +485,7 @@ def _cmd_tune(cfg: dict, provided: set) -> int:
 
 
 def _burnin(cfg: dict) -> float:
-    burnin = _as_float(cfg["burnin"])
+    burnin = _option(cfg, "burnin", float)
     if not 0.0 <= burnin < 1.0:
         raise _UsageError("--burnin must lie in [0, 1)")
     return burnin
@@ -499,9 +502,9 @@ def _cmd_sample(cfg: dict, provided: set) -> int:
     net = _model(cfg)
     dataset = _dataset(cfg, net)
     out = Path(_require(cfg, "out"))
-    seed = _as_int(cfg["seed"])
-    n_samples = _as_int(cfg["n"])
-    n_chains = _as_int(cfg["chains"])
+    seed = _option(cfg, "seed", int)
+    n_samples = _option(cfg, "n", int)
+    n_chains = _option(cfg, "chains", int)
     if n_samples < 1 or n_chains < 1:
         raise _UsageError("--n and --chains must be at least 1")
     burnin = _burnin(cfg)
@@ -519,16 +522,18 @@ def _cmd_sample(cfg: dict, provided: set) -> int:
             and "proposal_scale" not in provided:
         proposal_cov = np.asarray(tuned.proposal_cov, dtype=float)
     else:
-        proposal_cov = _as_float(cfg["proposal_scale"]) ** 2
+        proposal_cov = _option(cfg, "proposal_scale", float) ** 2
 
     theta_init = None
     if cfg["theta_init"] is not None:
-        theta_init = np.asarray(_floats(cfg["theta_init"]))
+        theta_init = np.asarray(_option(cfg, "theta_init", _floats))
 
-    threads = cfg["threads"]
-    if threads is None:
-        threads = os.environ.get("CTMCINFER_THREADS", "1")
-    threads = max(1, _as_int(threads))
+    if cfg["threads"] is None:
+        threads = _parsed(int, os.environ.get("CTMCINFER_THREADS", "1"),
+                          "CTMCINFER_THREADS")
+    else:
+        threads = _option(cfg, "threads", int)
+    threads = max(1, threads)
 
     if n_chains == 1:
         traces = [sample_chain(estimator, prior, proposal_cov, n_samples,
@@ -560,13 +565,13 @@ def _cmd_bench(cfg: dict, provided: set) -> int:
     out = Path(_require(cfg, "out"))
     rows = bench_expm(
         classes=classes,
-        dims=_ints(cfg["dim"]),
-        ts=_floats(cfg["t"]),
-        epsilons=_floats(cfg["eps"]),
-        reps=_as_int(cfg["reps"]),
-        seed=_as_int(cfg["seed"]),
+        dims=_option(cfg, "dim", _ints),
+        ts=_option(cfg, "t", _floats),
+        epsilons=_option(cfg, "eps", _floats),
+        reps=_option(cfg, "reps", int),
+        seed=_option(cfg, "seed", int),
         methods=tuple(_strs(cfg["methods"])),
-        max_row_nnz=_as_int(cfg["max_row_nnz"]),
+        max_row_nnz=_option(cfg, "max_row_nnz", int),
     )
     write_rows_csv(rows, out)
     _write_manifest(out, "bench", cfg)
@@ -577,12 +582,12 @@ def _cmd_bench(cfg: dict, provided: set) -> int:
 def _cmd_truncstudy(cfg: dict, provided: set) -> int:
     net = _model(cfg)
     dataset = _dataset(cfg, net)
-    theta = _floats(_require(cfg, "theta"))
+    theta = _option(cfg, "theta", _floats)
     out = Path(_require(cfg, "out"))
     rows = truncation_study(
         net, theta, list(dataset.intervals()),
-        k=_as_float(cfg["k"]),
-        r_stop=_as_int(cfg["r_stop"]),
+        k=_option(cfg, "k", float),
+        r_stop=_option(cfg, "r_stop", int),
     )
     write_rows_csv(rows, out)
     _write_manifest(out, "truncstudy", cfg)

@@ -224,8 +224,10 @@ class JointSequence:
     slope: float = 0.1
 
     def __post_init__(self):
-        if self.trunc_offset < 0 or not 0.0 <= self.slope < math.inf:
-            raise ValueError(f"{self} needs trunc_offset >= 0 and a finite slope >= 0")
+        if (self.trunc_offset < 0 or not math.isfinite(self.acc_offset)
+                or not 0.0 <= self.slope < math.inf):
+            raise ValueError(f"{self} needs trunc_offset >= 0, a finite "
+                             "acc_offset and a finite slope >= 0")
 
     def level(self, n: int) -> int:
         return self.trunc_offset + n
@@ -361,11 +363,6 @@ class LikelihoodEstimator:
     def n_observations(self) -> int:
         return len(self.observations)
 
-    def _target(self, key: int | None):
-        """(ladder, observation plan) of one target key."""
-        ladder = self.merged_ladder if key is None else self.obs_ladders[key]
-        return ladder, self._plans[key]
-
     def sequence_for(self, i: int | None) -> JointSequence:
         if i is not None and self.config.sequences is not None:
             return self.config.sequences[i]
@@ -376,19 +373,11 @@ class LikelihoodEstimator:
             return self.config.laws[i]
         return self.config.law
 
-    # -- one (truncation, accuracy) evaluation ------------------------------
+    # -- evaluations ---------------------------------------------------------
     #
-    # An evaluation queues one rows_action request per dt group; every
-    # request of a call goes through one rows_action call (_evaluate), and
-    # _log_value then reads the evaluation's blocks.
-
-    def _matrix(self, ladder, r: int, theta, mat_cache: dict):
-        """The level-r matrix of a ladder, assembled once per call."""
-        key = (id(ladder), r)
-        trmat = mat_cache.get(key)
-        if trmat is None:
-            trmat = mat_cache[key] = assemble(self.net, ladder.level(r), theta)
-        return trmat
+    # Every evaluation goes through _evaluate: it queues one rows_action
+    # request per dt group of each (level, accuracy) point, serves them all
+    # with one rows_action call, and _log_value reads each point's blocks.
 
     def _queue(self, trmat, obs_plan, r: int, k: float,
                requests: tuple) -> _Evaluation:
@@ -415,14 +404,6 @@ class LikelihoodEstimator:
             rows_lists.append(rows)
         return ev
 
-    def _evaluate(self, requests: tuple, meter=None) -> list:
-        """The blocks of every queued request, from one rows_action call."""
-        if not requests[0]:
-            return []
-        if self.config.method == "skeletoid":
-            return rows_action("skeletoid", *requests, meter)
-        return rows_action("uniformization", *requests, meter, self.config.q_bar_global)
-
     def _log_value(self, obs_plan, ev: _Evaluation, blocks: list) -> float:
         """log of the product of one evaluation's approximate transition
         probabilities."""
@@ -435,85 +416,85 @@ class LikelihoodEstimator:
                 total += math.log(p) if p > 0.0 else -math.inf
         return total
 
-    # -- debiased estimates --------------------------------------------------
+    def _evaluate(self, theta, telescopes: list, mat_cache: dict,
+                  meter=None) -> list:
+        """Log values of every telescope's (r, k) points, from one rows_action
+        call.
 
-    def _plan_target(self, key, theta, rng, mat_cache: dict, requests: tuple):
-        """Draw one target's N and queue its telescope's evaluations.
-
-        Returns (law, N, observation plan, evaluations), where evaluations
-        maps each telescope index, in evaluation order, to its record, or
-        to the exception that stopped planning there.
+        telescopes lists (target key, [(r, k), ...]) pairs. Each telescope
+        assembles its highest level once per call and ladder (mat_cache maps
+        id(ladder) to its matrices by level) and takes its lower levels as
+        leading blocks. Returns each telescope's values in the order of its
+        points; a point that could not be planned holds the exception that
+        stopped it, for the caller to raise where its lazy order reaches it.
         """
-        ladder, obs_plan = self._target(key)
-        seq, law = self.sequence_for(key), self.law_for(key)
-        n_draw = law.sample(rng)
-        # assemble the top level once; the two lower levels are its blocks
-        top = self._matrix(ladder, seq.level(n_draw + 1), theta, mat_cache)
-        for r in (seq.level(0), seq.level(n_draw)):
-            if (id(ladder), r) not in mat_cache:
-                mat_cache[(id(ladder), r)] = top.leading_block(ladder.level(r))
-        evals: dict = {}
-        for n in (0, n_draw, n_draw + 1):
-            if n not in evals:
-                r, k = seq.level(n), seq.accuracy(n)
+        requests: tuple = ([], [], [], [])
+        planned = []
+        for key, points in telescopes:
+            ladder = self.merged_ladder if key is None else self.obs_ladders[key]
+            obs_plan, top = self._plans[key], max(r for r, _ in points)
+            mats = mat_cache.setdefault(id(ladder), {})
+            if top not in mats:
                 try:
-                    evals[n] = self._queue(mat_cache[(id(ladder), r)], obs_plan,
-                                           r, k, requests)
+                    mats[top] = assemble(self.net, ladder.level(top), theta)
                 except Exception as exc:
-                    # the telescope raises it when it reaches this index
-                    evals[n] = exc
-                    break
-        return law, n_draw, obs_plan, evals
+                    # the telescope raises it at its first point
+                    planned.append((obs_plan, [exc] * len(points)))
+                    continue
+            evals = []
+            for r, k in points:
+                if r not in mats:
+                    mats[r] = mats[top].leading_block(ladder.level(r))
+                try:
+                    evals.append(self._queue(mats[r], obs_plan, r, k, requests))
+                except Exception as exc:
+                    evals.append(exc)
+            planned.append((obs_plan, evals))
+        blocks = []
+        if requests[0] and self.config.method == "skeletoid":
+            blocks = rows_action("skeletoid", *requests, meter)
+        elif requests[0]:
+            blocks = rows_action("uniformization", *requests, meter,
+                                 self.config.q_bar_global)
+        return [[ev if isinstance(ev, Exception) else self._log_value(obs_plan, ev, blocks)
+                 for ev in evals] for obs_plan, evals in planned]
 
-    def _combine(self, plan, blocks: list) -> float:
-        """Log of one target's debiased estimate from its evaluated blocks."""
-        law, n_draw, obs_plan, evals = plan
-
-        def log_value(n):
-            ev = evals[n]
-            if isinstance(ev, Exception):
-                raise ev
-            return self._log_value(obs_plan, ev, blocks)
-
-        l0, l_lo, l_hi, _ = _telescope(log_value, 0, n_draw, scale="log")
-        return stable_log_combine(l0, l_lo, l_hi, law.mass(n_draw))
+    # -- debiased estimates --------------------------------------------------
 
     def log_estimate(self, theta, rng, meter=None) -> float:
         """Log-likelihood estimate: one debiased draw per target, summed.
 
-        Plans every target in order (draws N, assembles, queues requests),
-        evaluates every request with one rows_action call, then combines
-        target by target. The sum stops at the first target that makes it
-        -inf; rng is then rewound to where the draws of the targets up to
-        that one leave it, as if no later target had drawn. A target whose
-        planning raised raises when the combine reaches it, so it cannot
-        pre-empt an earlier -inf or MonotonicityError.
+        Draws every target's N, evaluates every telescope with one
+        rows_action call (_evaluate), then combines target by target. The
+        sum stops at the first target that makes it -inf; rng is then
+        rewound to where the draws of the targets up to that one leave it,
+        as if no later target had drawn. A point that could not be planned
+        raises when its telescope reaches it, so it cannot pre-empt an
+        earlier -inf or MonotonicityError; when anything raises after theta
+        is validated, every target has drawn.
         """
         theta = self.net.validate_theta(theta)
         # a single target leaves no later draw to take back
         start = rng.bit_generator.state if len(self.targets) > 1 else None
-        mat_cache: dict = {}
-        requests: tuple = ([], [], [], [])
-        plans: list = []
-        for key in self.targets:
-            try:
-                plans.append(self._plan_target(key, theta, rng, mat_cache, requests))
-            except Exception as exc:
-                # raised when the combine reaches this target; no later
-                # target is planned, as none would have been reached
-                plans.append(exc)
-                break
-        blocks = self._evaluate(requests, meter)
+        draws = [self.law_for(key).sample(rng) for key in self.targets]
+        # each target's distinct telescope indices, in evaluation order
+        indices = [tuple(dict.fromkeys((0, n, n + 1))) for n in draws]
+        telescopes = []
+        for key, ns in zip(self.targets, indices):
+            seq = self.sequence_for(key)
+            telescopes.append((key, [(seq.level(n), seq.accuracy(n)) for n in ns]))
+        values = self._evaluate(theta, telescopes, {}, meter)
         total = 0.0
-        for j, plan in enumerate(plans):
-            if isinstance(plan, Exception):
-                raise plan
-            total += self._combine(plan, blocks)
+        for j, key in enumerate(self.targets):
+            at = dict(zip(indices[j], values[j]))
+            l0, l_lo, l_hi, _ = _telescope(lambda n: _raised(at[n]), 0, draws[j],
+                                           scale="log")
+            total += stable_log_combine(l0, l_lo, l_hi, self.law_for(key).mass(draws[j]))
             if total == -math.inf:
-                if j + 1 < len(plans):
+                if j + 1 < len(self.targets):
                     rng.bit_generator.state = start
-                    for key in self.targets[:j + 1]:
-                        self.law_for(key).sample(rng)
+                    for earlier in self.targets[:j + 1]:
+                        self.law_for(earlier).sample(rng)
                 break
         return total
 
@@ -529,16 +510,12 @@ class LikelihoodEstimator:
         targets on one ladder assemble each level once.
         """
         theta = self.net.validate_theta(theta)
-        ladder, obs_plan = self._target(obs_index)
         if mat_cache is None:
             mat_cache = {}
 
         def f(r: int, k: float) -> float:
-            requests: tuple = ([], [], [], [])
-            ev = self._queue(self._matrix(ladder, r, theta, mat_cache), obs_plan,
-                             r, k, requests)
-            return math.exp(self._log_value(obs_plan, ev,
-                                            self._evaluate(requests, meter)))
+            [[value]] = self._evaluate(theta, [(obs_index, [(r, k)])], mat_cache, meter)
+            return math.exp(_raised(value))
 
         return f
 
@@ -546,15 +523,15 @@ class LikelihoodEstimator:
                                      meter=None) -> float:
         """log L at fixed truncation level and accuracy, no debiasing."""
         theta = self.net.validate_theta(theta)
-        mat_cache: dict = {}
-        requests: tuple = ([], [], [], [])
-        evals = []
-        for key in self.targets:
-            ladder, obs_plan = self._target(key)
-            evals.append((obs_plan, self._queue(self._matrix(ladder, r, theta, mat_cache),
-                                                obs_plan, r, k, requests)))
-        blocks = self._evaluate(requests, meter)
         total = 0.0
-        for obs_plan, ev in evals:
-            total += self._log_value(obs_plan, ev, blocks)
+        for [value] in self._evaluate(theta, [(key, [(r, k)]) for key in self.targets],
+                                      {}, meter):
+            total += _raised(value)
         return total
+
+
+def _raised(value):
+    """value, or raise it when it is the exception kept in a value's place."""
+    if isinstance(value, Exception):
+        raise value
+    return value

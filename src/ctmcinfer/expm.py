@@ -335,11 +335,17 @@ def _poisson_schedule(lam: float, s: int) -> tuple:
     return _cached_poisson_weights(lam, s)
 
 
+def _dense_uniformized(Q: _Entries) -> bool:
+    """Whether P = I + Q/(-q_bar) is stored dense: at most DENSE_LIMIT
+    states, or more than _CSR_MAX_FILL of its entries nonzero."""
+    b = Q.diag.size
+    return b <= DENSE_LIMIT or Q.rates.size + b > _CSR_MAX_FILL * b * b
+
+
 def _uniformized(Q: _Entries):
-    """P = I + Q/(-q_bar): CSR above DENSE_LIMIT states when at most
-    _CSR_MAX_FILL of its entries are nonzero, dense otherwise."""
+    """P = I + Q/(-q_bar), dense or CSR as _dense_uniformized says."""
     b, scale = Q.diag.size, -Q.q_bar
-    if b <= DENSE_LIMIT or Q.rates.size + b > _CSR_MAX_FILL * b * b:
+    if _dense_uniformized(Q):
         P = np.diag(1.0 + Q.diag / scale)
         P[Q.rows, Q.cols] = Q.rates / scale
         return P
@@ -399,9 +405,8 @@ def rows_action(method: str, Q, t, s, rows,
         if Q.q_bar == 0.0:
             blocks[i] = np.eye(b)[rows]
             continue
-        dense = b <= DENSE_LIMIT or Q.rates.size + b > _CSR_MAX_FILL * b * b
         # a CSR P runs alone; requests are never padded to a common b
-        groups.setdefault((b, rows.size) if dense else i, []).append(i)
+        groups.setdefault((b, rows.size) if _dense_uniformized(Q) else i, []).append(i)
     for members in groups.values():
         if len(members) == 1:
             blocks[members[0]] = _series(*requests[members[0]], meter)

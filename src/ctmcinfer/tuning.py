@@ -570,11 +570,15 @@ def tuned_config_from_text(text: str) -> TunedConfig:
                for row in proposal_cov.split(";")]
         proposal_cov = np.asarray(cov)
 
-    def read_seq(prefix):
+    def read_seq(prefix, required):
+        # an ra config needs the unprefixed keys, an ia config obs0.*
         keys = [f"{prefix}trunc_offset", f"{prefix}acc_offset",
                 f"{prefix}slope", f"{prefix}law_p"]
-        if not all(k in pairs for k in keys):
+        missing = [k for k in keys if k not in pairs]
+        if len(missing) == len(keys) and not required:
             return None, None
+        if missing:
+            raise ValueError(f"mode {mode} config lacks {', '.join(missing)}")
         seq = JointSequence(
             trunc_offset=int(float(pairs.pop(keys[0]))),
             acc_offset=float(pairs.pop(keys[1])),
@@ -583,14 +587,14 @@ def tuned_config_from_text(text: str) -> TunedConfig:
         law = GeometricLaw(float(pairs.pop(keys[3])))
         return seq, law
 
-    sequence, law = read_seq("")
+    sequence, law = read_seq("", mode == "ra")
     sequences, laws = [], []
-    i = 0
-    while f"obs{i}.trunc_offset" in pairs:
-        seq_i, law_i = read_seq(f"obs{i}.")
+    while True:
+        seq_i, law_i = read_seq(f"obs{len(sequences)}.", mode == "ia" and not sequences)
+        if seq_i is None:
+            break
         sequences.append(seq_i)
         laws.append(law_i)
-        i += 1
     if pairs:
         raise ValueError(f"unknown config keys: {sorted(pairs)}")
     return TunedConfig(

@@ -411,6 +411,45 @@ def test_tuned_config_with_a_negative_level_exits_1(tmp_path, capsys):
     assert set(tmp_path.iterdir()) == before
 
 
+@pytest.mark.parametrize("text, named", [
+    ("mode = ra\nmethod = skeletoid\n", "lacks trunc_offset, acc_offset, slope, law_p"),
+    ("mode = ia\nmethod = skeletoid\n", "lacks obs0.trunc_offset"),
+    ("mode = ra\ntrunc_offset = 1\nacc_offset = nan\nslope = 0.1\nlaw_p = 0.5\n",
+     "acc_offset=nan, slope=0.1) needs"),
+], ids=["ra_without_keys", "ia_without_obs0", "nan_acc_offset"])
+def test_tuned_config_without_usable_sequences_exits_1(tmp_path, capsys, text, named):
+    data = _simulate(tmp_path)
+    tuned_path = tmp_path / "tuned.cfg"
+    tuned_path.write_text(text)
+    before = set(tmp_path.iterdir())
+    rc = main(["sample", *QUEUE_FLAGS, "--data", str(data), "--tuned-config",
+               str(tuned_path), "--n", "5", "--out", str(tmp_path / "t.csv")])
+    assert rc == 1
+    assert named in capsys.readouterr().err
+    assert set(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+@pytest.mark.parametrize("key, value", [("seed", "abc"), ("c", "x"), ("theta", "1,y"),
+                                        ("tend", "2.0.0")])
+def test_a_malformed_number_is_a_usage_error_naming_its_option(
+        tmp_path, capsys, source, key, value):
+    out = tmp_path / "d.csv"
+    settings = {"model": "mmc", "c": "1", "theta": "0.8,0.6", "x0": "0",
+                "tend": "2.0", "dt": "0.5", "seed": "3", key: value}
+    if source == "file":
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+        argv = ["simulate", "--config", str(cfg), "--out", str(out)]
+    else:
+        argv = ["simulate", "--out", str(out)]
+        for k, v in settings.items():
+            argv += [f"--{k}", v]
+    assert main(argv) == 2
+    assert f"--{key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_argv_from_manifest_formats_flags():
     manifest = {"command": "tune", "config": {
         "dim": "4,6", "grid": True, "no_map": False, "seed": 3,

@@ -268,7 +268,9 @@ def test_joint_sequence_defaults():
 
 
 @pytest.mark.parametrize("fields", [{"trunc_offset": -1}, {"slope": -0.1},
-                                    {"slope": math.inf}, {"slope": math.nan}])
+                                    {"slope": math.inf}, {"slope": math.nan},
+                                    {"acc_offset": math.nan}, {"acc_offset": math.inf},
+                                    {"acc_offset": -math.inf}])
 def test_joint_sequence_rejects_negative_offsets_and_bad_slopes(fields):
     args = {"trunc_offset": 0, "acc_offset": 4.0, "slope": 0.1, **fields}
     shown = ", ".join(f"{k}={v!r}" for k, v in args.items())

@@ -229,6 +229,18 @@ def test_tuned_config_text_rejects_junk():
         tuned_config_from_text("just some words\n")
 
 
+@pytest.mark.parametrize("text, missing", [
+    ("mode = ra\nmethod = skeletoid\n", "trunc_offset, acc_offset, slope, law_p"),
+    ("mode = ra\ntrunc_offset = 1\nacc_offset = 4.0\nslope = 0.1\n", "law_p"),
+    ("mode = ia\n", "obs0.trunc_offset, obs0.acc_offset, obs0.slope, obs0.law_p"),
+    ("mode = ia\ntrunc_offset = 1\nacc_offset = 4.0\nslope = 0.1\nlaw_p = 0.5\n",
+     "obs0.trunc_offset, obs0.acc_offset, obs0.slope, obs0.law_p"),
+], ids=["ra_without_keys", "ra_without_law_p", "ia_without_keys", "ia_unprefixed_only"])
+def test_tuned_config_text_needs_its_modes_sequence_keys(text, missing):
+    with pytest.raises(ValueError, match=f"config lacks {missing}$"):
+        tuned_config_from_text(text)
+
+
 def test_tuned_config_text_defaults_and_comments():
     back = tuned_config_from_text("# a comment\n\nmethod = skeletoid\n")
     assert back.mode == "auto"
