@@ -27,6 +27,7 @@ import scipy
 from .datasets import read_dataset, write_dataset
 from .debias import EstimatorConfig, LikelihoodEstimator, MonotonicityError
 from .diagnostics import (
+    BENCH_METHODS,
     MATRIX_CLASSES,
     MIN_ESS_DRAWS,
     bench_expm,
@@ -224,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add(p, "bench", "--t", default="1.0", help="comma-separated horizons")
     _add(p, "bench", "--eps", default="1e-2,1e-4,1e-6,1e-8",
          help="comma-separated accuracy requests")
-    _add(p, "bench", "--methods", default="skeletoid,uniformization")
+    _add(p, "bench", "--methods", default=",".join(BENCH_METHODS))
     _add(p, "bench", "--reps", default=3, type=int)
     _add(p, "bench", "--max-row-nnz", default=10, type=int,
          help="sparse-class off-diagonal cap per row")
@@ -558,10 +559,12 @@ def _cmd_sample(cfg: dict, provided: set) -> int:
 
 
 def _cmd_bench(cfg: dict, provided: set) -> int:
-    classes = _strs(cfg["classes"])
-    unknown = set(classes) - set(MATRIX_CLASSES)
-    if unknown:
-        raise _UsageError(f"unknown matrix classes: {sorted(unknown)}")
+    classes, methods = _strs(cfg["classes"]), _strs(cfg["methods"])
+    for what, chosen, known in (("matrix classes", classes, MATRIX_CLASSES),
+                                ("methods", methods, BENCH_METHODS)):
+        unknown = set(chosen) - set(known)
+        if unknown:
+            raise _UsageError(f"unknown {what}: {sorted(unknown)}")
     out = Path(_require(cfg, "out"))
     rows = bench_expm(
         classes=classes,
@@ -570,7 +573,7 @@ def _cmd_bench(cfg: dict, provided: set) -> int:
         epsilons=_option(cfg, "eps", _floats),
         reps=_option(cfg, "reps", int),
         seed=_option(cfg, "seed", int),
-        methods=tuple(_strs(cfg["methods"])),
+        methods=tuple(methods),
         max_row_nnz=_option(cfg, "max_row_nnz", int),
     )
     write_rows_csv(rows, out)

@@ -33,13 +33,25 @@ class Dataset:
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
-        states = np.asarray(self.states, dtype=np.int64)
+        states = np.asarray(self.states)
+        if states.dtype.kind not in "iu":
+            # a fractional, non-finite or huge state would otherwise be cast
+            # silently; the negated test also catches NaN
+            values = states.astype(float)
+            bad = ~(np.abs(values) < 2.0**63) | (values != np.trunc(values))
+            if bad.any():
+                raise ValueError(f"observed state {float(values[bad][0])!r} "
+                                 "is not an integer in the int64 range")
+        states = states.astype(np.int64)
         if states.ndim == 1:
             states = states[:, None]
         if times.ndim != 1 or states.shape[0] != times.shape[0]:
             raise ValueError("times and states must have matching leading length")
         if times.size < 2:
             raise ValueError("a dataset needs at least two observation times")
+        if not np.all(np.isfinite(times)):
+            bad_time = times[~np.isfinite(times)][0]
+            raise ValueError(f"observation time {float(bad_time)!r} is not finite")
         if not np.all(np.diff(times) > 0):
             raise ValueError("observation times must be strictly increasing")
         object.__setattr__(self, "times", times)
@@ -105,7 +117,7 @@ def read_dataset(path) -> Dataset:
             if not row:
                 continue
             times.append(float(row[0]))
-            states.append([int(float(v)) for v in row[1:]])
+            states.append([float(v) for v in row[1:]])
     meta = {}
     model = "custom"
     sidecar = _sidecar_path(path)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import collections
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -224,7 +225,8 @@ class JointSequence:
     slope: float = 0.1
 
     def __post_init__(self):
-        if (self.trunc_offset < 0 or not math.isfinite(self.acc_offset)
+        if (not isinstance(self.trunc_offset, numbers.Integral)
+                or self.trunc_offset < 0 or not math.isfinite(self.acc_offset)
                 or not 0.0 <= self.slope < math.inf):
             raise ValueError(f"{self} needs trunc_offset >= 0, a finite "
                              "acc_offset and a finite slope >= 0")

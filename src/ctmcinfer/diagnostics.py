@@ -31,6 +31,7 @@ __all__ = [
     "ess",
     "random_rate_matrix",
     "MATRIX_CLASSES",
+    "BENCH_METHODS",
     "bench_expm",
     "truncation_study",
     "write_rows_csv",
@@ -150,16 +151,21 @@ def random_rate_matrix(kind: str, dim: int, rng, max_row_nnz: int = 10) -> np.nd
 # studies
 
 
+BENCH_METHODS = ("skeletoid", "uniformization")
+
+
 def bench_expm(classes=MATRIX_CLASSES, dims=(100,), ts=(1.0,),
                epsilons=(1e-6,), reps: int = 3, seed: int = 0,
-               methods=("skeletoid", "uniformization"),
-               max_row_nnz: int = 10) -> list:
+               methods=BENCH_METHODS, max_row_nnz: int = 10) -> list:
     """Accuracy and FLOP study of the monotone approximations vs the oracle.
 
     Returns one row dict per (class, dim, t, eps, method, rep) with the
     selected resolution s, the realized infinity-norm error against the
     oracle, the a-posteriori computable error bound, and metered FLOPs.
     """
+    unknown = sorted(set(methods) - set(BENCH_METHODS))
+    if unknown:
+        raise ValueError(f"unknown methods {unknown}; choose from {BENCH_METHODS}")
     rng = np.random.default_rng(seed)
     rows = []
     for kind in classes:

@@ -2,10 +2,11 @@
 
 The pipeline per estimator target (one per observation for IA, one merged for
 RA): profile convergence in the truncation level and in the accuracy exponent
-separately, place offsets just past the last surge of each profile, slope the
-accuracy against the level, then fit the geometric law to the decay of the
-joint sequence's differences. A grid stage compares candidate noise floors by
-estimator cost and picks the proposal scale by effective samples per GFLOP.
+separately, place offsets just past the last surge of each profile, then walk
+the joint sequence once: the walk slopes the accuracy against the level, and
+the geometric law is fitted to the decay of that same walk's differences. A
+grid stage compares candidate noise floors by estimator cost and picks the
+proposal scale by effective samples per GFLOP.
 """
 
 from __future__ import annotations
@@ -162,51 +163,39 @@ def offset_from_profile(values, a_star: float, p_min: float) -> int:
     return values.size - 1
 
 
-def tune_sigma(value_fn, prof: ConvergenceProfile, trunc_offset: int,
-               acc_offset: float) -> float:
-    """Slope of accuracy against level along the joint sequence.
+def _joint_walk(value_fn, prof: ConvergenceProfile, trunc_offset: int,
+                acc_offset: float) -> tuple:
+    """Slope sigma and the values of the joint walk at sigma, up to (r_eps, k_eps).
 
-    Starts from the profile aspect ratio (at least SIGMA_DEFAULT) and doubles
-    whenever the joint walk decreases while still below the profiled accuracy
-    ceiling, so accuracy error never dominates the truncation gain.
+    sigma starts from the profile aspect ratio (at least SIGMA_DEFAULT) and
+    doubles, at most 60 times, whenever the walk decreases, so accuracy error
+    never dominates the truncation gain. Each doubling restarts the walk at
+    n = 0, so the returned walk is the one that passed the check.
     """
-    if prof.k_eps <= acc_offset:
-        return SIGMA_DEFAULT
-    sigma = max(SIGMA_DEFAULT,
-                (prof.r_eps - trunc_offset) / (prof.k_eps - acc_offset))
-    n = 0
-    a_old = 0.0
+    sigma = SIGMA_DEFAULT if prof.k_eps <= acc_offset else max(
+        SIGMA_DEFAULT, (prof.r_eps - trunc_offset) / (prof.k_eps - acc_offset))
+    vals = []
     doublings = 0
     while True:
+        n = len(vals)
         r = trunc_offset + n
         k = acc_offset + sigma * n
         if r > prof.r_eps or k > prof.k_eps:
-            break
+            return sigma, vals
         a_new = float(value_fn(r, min(k, ACCURACY_CAP)))
-        ref = max(a_new, a_old, 1e-300)
-        if a_new < a_old - _REL_SLACK * ref and k <= prof.k_eps and doublings < 60:
+        a_old = vals[-1] if vals else 0.0
+        if a_new < a_old - _REL_SLACK * max(a_new, a_old, 1e-300) and doublings < 60:
             sigma *= 2.0
             doublings += 1
-            continue
-        a_old = a_new
-        n += 1
-    return sigma
+            vals = []
+        else:
+            vals.append(a_new)
 
 
-def _joint_values(value_fn, prof: ConvergenceProfile, trunc_offset: int,
-                  acc_offset: float, sigma: float) -> np.ndarray:
-    vals = []
-    n = 0
-    while True:
-        r = trunc_offset + n
-        k = acc_offset + sigma * n
-        if r > prof.r_eps or k > prof.k_eps:
-            break
-        vals.append(float(value_fn(r, min(k, ACCURACY_CAP))))
-        n += 1
-    if not vals:
-        vals.append(float(value_fn(trunc_offset, min(acc_offset, ACCURACY_CAP))))
-    return np.asarray(vals)
+def tune_sigma(value_fn, prof: ConvergenceProfile, trunc_offset: int,
+               acc_offset: float) -> float:
+    """Slope of accuracy against level along the joint sequence."""
+    return _joint_walk(value_fn, prof, trunc_offset, acc_offset)[0]
 
 
 def fit_p(joint_diffs) -> float:
@@ -258,14 +247,12 @@ class TunedConfig:
     grid_report: list | None = field(default=None, compare=False, repr=False)
 
     def to_estimator_config(self) -> EstimatorConfig:
+        # unset fields keep EstimatorConfig's defaults
+        fields = {name: getattr(self, name) for name in
+                  ("sequence", "law", "sequences", "laws", "q_bar_global")}
         return EstimatorConfig(
-            mode=self.mode,
-            method=self.method,
-            sequence=self.sequence or JointSequence(),
-            law=self.law or GeometricLaw(0.5),
-            sequences=self.sequences,
-            laws=self.laws,
-            q_bar_global=self.q_bar_global,
+            mode=self.mode, method=self.method,
+            **{name: v for name, v in fields.items() if v is not None},
         )
 
 
@@ -277,11 +264,13 @@ def _tune_target(value_fn, p_min: float, eps: float,
     trunc_offset = offset_from_profile(prof.trunc_values, prof.a_star, p_min)
     k_idx = offset_from_profile(prof.acc_values, prof.a_star, p_min)
     acc_offset = float(prof.k_start + k_idx)
-    sigma = tune_sigma(value_fn, prof, trunc_offset, acc_offset)
+    sigma, joint = _joint_walk(value_fn, prof, trunc_offset, acc_offset)
+    # the walk visits no point when an offset already lies past the profile
+    joint = np.asarray(joint or [
+        float(value_fn(trunc_offset, min(acc_offset, ACCURACY_CAP)))])
 
     # re-place the offsets along the joint walk itself, then fit the law to
     # the joint difference decay
-    joint = _joint_values(value_fn, prof, trunc_offset, acc_offset, sigma)
     n0 = offset_from_profile(joint, prof.a_star, p_min)
     trunc_offset += n0
     acc_offset += sigma * n0
@@ -358,6 +347,25 @@ def _golden(f, lo: float, hi: float, tol: float = 1e-3, max_iter: int = 40):
     return (a + b) / 2.0
 
 
+def _log_posterior(estimator: LikelihoodEstimator, prior: Prior, theta,
+                   eps: float = 1e-8, r: int | None = None, k: float | None = None):
+    """th -> log prior + deterministic log-likelihood at level r, accuracy k.
+
+    (r, k) default to the first target's profiled (r_eps, k_eps) at theta.
+    """
+    if r is None or k is None:
+        prof = profile(estimator.value_fn(theta, estimator.targets[0]), eps=eps)
+        r, k = prof.r_eps, prof.k_eps
+
+    def log_post(th):
+        lp = prior.log_density(th)
+        if lp == -math.inf:
+            return -math.inf
+        return lp + estimator.deterministic_log_likelihood(th, r, k)
+
+    return log_post
+
+
 def map_estimate(estimator: LikelihoodEstimator, prior: Prior, theta0,
                  eps: float = 1e-8, sweeps: int = 2) -> np.ndarray:
     """Posterior mode by coordinate-wise golden-section search.
@@ -367,21 +375,13 @@ def map_estimate(estimator: LikelihoodEstimator, prior: Prior, theta0,
     coordinate over a multiplicative bracket around its current value.
     """
     theta = np.asarray(theta0, dtype=float).copy()
-    prof = profile(estimator.value_fn(theta, estimator.targets[0]), eps=eps)
-    r_eps, k_eps = prof.r_eps, prof.k_eps
-
-    def neg_log_post(th):
-        lp = prior.log_density(th)
-        if lp == -math.inf:
-            return math.inf
-        return -(lp + estimator.deterministic_log_likelihood(th, r_eps, k_eps))
-
+    log_post = _log_posterior(estimator, prior, theta, eps=eps)
     for _ in range(sweeps):
         for j in range(theta.size):
             def along(v):
                 trial = theta.copy()
                 trial[j] = v
-                return neg_log_post(trial)
+                return -log_post(trial)
 
             theta[j] = _golden(along, *(theta[j] * f for f in MAP_BRACKET))
     return theta
@@ -398,15 +398,7 @@ def laplace_covariance(estimator: LikelihoodEstimator, prior: Prior, theta,
     proposal.
     """
     theta = np.asarray(theta, dtype=float)
-    if r is None or k is None:
-        prof = profile(estimator.value_fn(theta, estimator.targets[0]))
-        r, k = prof.r_eps, prof.k_eps
-
-    def logpost(th):
-        lp = prior.log_density(th)
-        if lp == -math.inf:
-            return -math.inf
-        return lp + estimator.deterministic_log_likelihood(th, r, k)
+    logpost = _log_posterior(estimator, prior, theta, r=r, k=k)
 
     dim = theta.size
     h = LAPLACE_REL_STEP * np.maximum(np.abs(theta), 1e-8)
@@ -555,20 +547,36 @@ def tuned_config_to_text(cfg: TunedConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _whole(text: str) -> int:
+    value = float(text)
+    if not value.is_integer():
+        raise ValueError("not a whole number")
+    return int(value)
+
+
+def _matrix(text: str) -> np.ndarray:
+    return np.asarray([[float(v) for v in row.split(",")] for row in text.split(";")])
+
+
 def tuned_config_from_text(text: str) -> TunedConfig:
     pairs = read_flat(text)
     mode = pairs.pop("mode", "auto")
     method = pairs.pop("method", "skeletoid")
-    p_min = float(pairs.pop("p_min", "0.9"))
-    sigma_zeta = pairs.pop("sigma_zeta", None)
-    sigma_zeta = float(sigma_zeta) if sigma_zeta is not None else None
-    q_bar_global = pairs.pop("q_bar_global", None)
-    q_bar_global = float(q_bar_global) if q_bar_global is not None else None
-    proposal_cov = pairs.pop("proposal_cov", None)
-    if proposal_cov is not None:
-        cov = [[float(v) for v in row.split(",")]
-               for row in proposal_cov.split(";")]
-        proposal_cov = np.asarray(cov)
+
+    def number(key, convert=float, default=None):
+        # pairs.pop(key) converted; a malformed value is an error naming key
+        value = pairs.pop(key, default)
+        if value is None:
+            return None
+        try:
+            return convert(value)
+        except ValueError as exc:
+            raise ValueError(f"{key} = {value}: {exc}") from exc
+
+    p_min = number("p_min", default="0.9")
+    sigma_zeta = number("sigma_zeta")
+    q_bar_global = number("q_bar_global")
+    proposal_cov = number("proposal_cov", _matrix)
 
     def read_seq(prefix, required):
         # an ra config needs the unprefixed keys, an ia config obs0.*
@@ -579,13 +587,9 @@ def tuned_config_from_text(text: str) -> TunedConfig:
             return None, None
         if missing:
             raise ValueError(f"mode {mode} config lacks {', '.join(missing)}")
-        seq = JointSequence(
-            trunc_offset=int(float(pairs.pop(keys[0]))),
-            acc_offset=float(pairs.pop(keys[1])),
-            slope=float(pairs.pop(keys[2])),
-        )
-        law = GeometricLaw(float(pairs.pop(keys[3])))
-        return seq, law
+        seq = JointSequence(trunc_offset=number(keys[0], _whole),
+                            acc_offset=number(keys[1]), slope=number(keys[2]))
+        return seq, GeometricLaw(number(keys[3]))
 
     sequence, law = read_seq("", mode == "ra")
     sequences, laws = [], []

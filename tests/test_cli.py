@@ -196,10 +196,14 @@ def test_bench_writes_rows(tmp_path):
     assert out.with_suffix(".manifest.json").exists()
 
 
-def test_bench_unknown_class_exits_2(tmp_path, capsys):
-    rc = main(["bench", "--class", "wat", "--out", str(tmp_path / "b.csv")])
+@pytest.mark.parametrize("flag, value, named", [
+    ("--class", "wat", "unknown matrix classes: ['wat']"),
+    ("--methods", "skeletoid,foo", "unknown methods: ['foo']"),
+], ids=["class", "methods"])
+def test_bench_unknown_class_exits_2(tmp_path, capsys, flag, value, named):
+    rc = main(["bench", flag, value, "--out", str(tmp_path / "b.csv")])
     assert rc == 2
-    assert "unknown matrix classes" in capsys.readouterr().err
+    assert named in capsys.readouterr().err
 
 
 def test_truncstudy_writes_rows(tmp_path):
@@ -416,7 +420,12 @@ def test_tuned_config_with_a_negative_level_exits_1(tmp_path, capsys):
     ("mode = ia\nmethod = skeletoid\n", "lacks obs0.trunc_offset"),
     ("mode = ra\ntrunc_offset = 1\nacc_offset = nan\nslope = 0.1\nlaw_p = 0.5\n",
      "acc_offset=nan, slope=0.1) needs"),
-], ids=["ra_without_keys", "ia_without_obs0", "nan_acc_offset"])
+    ("mode = ra\np_min = abc\ntrunc_offset = 1\nacc_offset = 4.0\nslope = 0.1\n"
+     "law_p = 0.5\n", "p_min = abc"),
+    ("mode = ra\ntrunc_offset = 1.7\nacc_offset = 4.0\nslope = 0.1\nlaw_p = 0.5\n",
+     "trunc_offset = 1.7: not a whole number"),
+], ids=["ra_without_keys", "ia_without_obs0", "nan_acc_offset", "malformed_p_min",
+        "fractional_trunc_offset"])
 def test_tuned_config_without_usable_sequences_exits_1(tmp_path, capsys, text, named):
     data = _simulate(tmp_path)
     tuned_path = tmp_path / "tuned.cfg"
@@ -427,6 +436,20 @@ def test_tuned_config_without_usable_sequences_exits_1(tmp_path, capsys, text, n
     assert rc == 1
     assert named in capsys.readouterr().err
     assert set(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("row, named", [("1.0,2.7", "observed state 2.7"),
+                                        ("inf,1", "observation time inf")],
+                         ids=["fractional_state", "infinite_time"])
+def test_sample_on_malformed_data_exits_1(tmp_path, capsys, row, named):
+    data = tmp_path / "bad.csv"
+    data.write_text(f"t,species_1\n0.0,0\n{row}\n")
+    out = tmp_path / "t.csv"
+    rc = main(["sample", *QUEUE_FLAGS, "--data", str(data), "--n", "5",
+               "--theta-init", "0.5,0.5", "--out", str(out)])
+    assert rc == 1
+    assert f"error: {named}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("source", ["flag", "file"])

@@ -18,6 +18,33 @@ def test_dataset_validation():
         Dataset([0.0, 1.0, 0.5], [[1], [2], [3]])
     with pytest.raises(ValueError):
         Dataset([0.0, 1.0], [[1], [2], [3]])
+    with pytest.raises(ValueError, match="observed state 2.7 is not an integer"):
+        Dataset([0, 1], [0.0, 2.7])
+    with pytest.raises(ValueError, match="observed state nan is not an integer"):
+        Dataset([0, 1], [[0, 1], [math.nan, 1]])
+    with pytest.raises(ValueError, match="observed state 1e[+]20 is not an integer"):
+        Dataset([0, 1], [0, 1e20])
+    with pytest.raises(ValueError, match="observation time inf is not finite"):
+        Dataset([0.0, math.inf], [0, 1])
+    with pytest.raises(ValueError, match="observation time nan is not finite"):
+        Dataset([math.nan, 1.0], [0, 1])
+
+
+@pytest.mark.parametrize("row, named", [("1.0,2.7", "observed state 2.7"),
+                                        ("inf,3", "observation time inf")],
+                         ids=["fractional_state", "infinite_time"])
+def test_read_dataset_refuses_a_fractional_state_or_infinite_time(tmp_path, row,
+                                                                named):
+    path = tmp_path / "obs.csv"
+    path.write_text(f"t,species_1\n0.0,1\n{row}\n")
+    with pytest.raises(ValueError, match=named):
+        read_dataset(path)
+
+
+def test_read_dataset_reads_whole_float_states(tmp_path):
+    path = tmp_path / "obs.csv"
+    path.write_text("t,species_1\n0.0,1\n1.0,2.0\n")
+    assert read_dataset(path).states.tolist() == [[1], [2]]
 
 
 def test_dataset_coerces_a_flat_state_list():

@@ -270,13 +270,18 @@ def test_joint_sequence_defaults():
 @pytest.mark.parametrize("fields", [{"trunc_offset": -1}, {"slope": -0.1},
                                     {"slope": math.inf}, {"slope": math.nan},
                                     {"acc_offset": math.nan}, {"acc_offset": math.inf},
-                                    {"acc_offset": -math.inf}])
+                                    {"acc_offset": -math.inf}, {"trunc_offset": 1.5}])
 def test_joint_sequence_rejects_negative_offsets_and_bad_slopes(fields):
     args = {"trunc_offset": 0, "acc_offset": 4.0, "slope": 0.1, **fields}
     shown = ", ".join(f"{k}={v!r}" for k, v in args.items())
     with pytest.raises(ValueError, match=re.escape(f"JointSequence({shown}) needs")):
         JointSequence(**fields)
     assert JointSequence(trunc_offset=0, slope=0.0).level(2) == 2
+
+
+def test_joint_sequence_takes_python_and_numpy_integer_levels():
+    for level in (3, np.int64(3), np.int32(3), np.uint8(3)):
+        assert JointSequence(trunc_offset=level).level(1) == 4
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import collections
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -34,7 +35,7 @@ from ctmcinfer import (
     tuned_config_from_text,
     tuned_config_to_text,
 )
-from ctmcinfer import debias
+from ctmcinfer import debias, tuning
 from ctmcinfer.statespace import assemble
 
 
@@ -170,6 +171,26 @@ def test_tune_sigma_doubles_past_joint_walk_decreases():
     assert sigma == pytest.approx(1.2)
 
 
+def test_the_law_is_fitted_to_the_walk_that_chose_the_slope():
+    # the walk dips at (1, 1.0) and (2, 1.0): slope 0.5 meets the second dip
+    # and slope 1.0 the first, so only slope 2.0 walks without a decrease;
+    # each doubling starts the walk again, so the fitted walk is that one
+    def dipping(r, k):
+        return 0.05 if (r, k) in ((1, 1.0), (2, 1.0)) else 0.1 * (r + k) + 0.1
+
+    prof = ConvergenceProfile(
+        trunc_values=np.array([1.0]), acc_values=np.array([1.0]),
+        a_star=1.0, r_eps=4, k_eps=8.0, k_high=8.0, k_start=0,
+    )
+    assert tune_sigma(dipping, prof, trunc_offset=0, acc_offset=0.0) == 2.0
+    seq, _, _ = tuning._tune_target(dipping, 0.9, 1e-8, prof)
+    assert seq.slope == 2.0
+    sigma, walk = tuning._joint_walk(dipping, prof, 0, 0.0)
+    assert sigma == 2.0
+    assert walk == pytest.approx([0.1, 0.4, 0.7, 1.0, 1.3])
+    assert np.all(np.diff(walk) >= 0.0)
+
+
 def test_fit_p_recovers_geometric_decay():
     assert fit_p([1.0 * 0.5**n for n in range(8)]) == pytest.approx(0.5, rel=1e-9)
     assert fit_p([2.0 * 0.25**n for n in range(6)]) == pytest.approx(0.75, rel=1e-9)
@@ -239,6 +260,31 @@ def test_tuned_config_text_rejects_junk():
 def test_tuned_config_text_needs_its_modes_sequence_keys(text, missing):
     with pytest.raises(ValueError, match=f"config lacks {missing}$"):
         tuned_config_from_text(text)
+
+
+_RA_KEYS = "mode = ra\nacc_offset = 4.0\nslope = 0.1\nlaw_p = 0.5\n"
+
+
+@pytest.mark.parametrize("text, named", [
+    ("p_min = abc\ntrunc_offset = 1\n" + _RA_KEYS, "p_min = abc: could not convert"),
+    ("trunc_offset = 1.7\n" + _RA_KEYS, "trunc_offset = 1.7: not a whole number"),
+    ("trunc_offset = inf\n" + _RA_KEYS, "trunc_offset = inf: not a whole number"),
+    ("trunc_offset = 1\nsigma_zeta = x\n" + _RA_KEYS, "sigma_zeta = x: could not"),
+    ("trunc_offset = 1\nproposal_cov = 1,2;3\n" + _RA_KEYS, "proposal_cov = 1,2;3:"),
+    ("mode = ia\nobs0.trunc_offset = 0\nobs0.acc_offset = 4\nobs0.slope = .1\n"
+     "obs0.law_p = half\n", "obs0.law_p = half: could not convert"),
+], ids=["p_min", "fractional_level", "infinite_level", "sigma_zeta",
+        "ragged_proposal_cov", "ia_law_p"])
+def test_tuned_config_text_names_the_key_of_a_malformed_number(text, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        tuned_config_from_text(text)
+
+
+@pytest.mark.parametrize("level", ["3", "3.0"])
+def test_tuned_config_text_reads_a_whole_level_either_way(level):
+    back = tuned_config_from_text(f"trunc_offset = {level}\n" + _RA_KEYS)
+    assert back.sequence.trunc_offset == 3
+    assert type(back.sequence.trunc_offset) is int
 
 
 def test_tuned_config_text_defaults_and_comments():
