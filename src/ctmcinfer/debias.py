@@ -228,7 +228,8 @@ class JointSequence:
         if (not isinstance(self.trunc_offset, numbers.Integral)
                 or self.trunc_offset < 0 or not math.isfinite(self.acc_offset)
                 or not 0.0 <= self.slope < math.inf):
-            raise ValueError(f"{self} needs trunc_offset >= 0, a finite "
+            raise ValueError(f"{self} needs trunc_offset >= 0 of an integer "
+                             "type (a float, even 3.0, is refused), a finite "
                              "acc_offset and a finite slope >= 0")
 
     def level(self, n: int) -> int:

@@ -53,7 +53,7 @@ P_MIN_GRID = (0.0, 0.01, 0.1, 0.2, 0.4, 0.6, 0.8, 0.9)
 SIGMA_BAR_GRID = (0.1, 1.0, 1.5, 2.0)
 P_CLAMP = (0.4, 0.9)
 K_START = -10
-R_EXPLORE = 15
+R_EXPLORE = 3
 SIGMA_DEFAULT = 0.1
 MAP_BRACKET = (0.25, 4.0)
 LAPLACE_REL_STEP = 1e-3
@@ -68,8 +68,10 @@ class ConvergenceProfile:
     """Convergence of one a(r, k) target in each index separately.
 
     trunc_values[i] is a(i, k_high); acc_values[j] is a(r_eps, K_START + j).
-    a_star is the converged value a(r_eps, k_high); r_eps and k_eps are the
-    levels past which growth changes the value by less than the tolerance.
+    a_star is the converged value a(r_eps, k_high). r_eps is the last level
+    scanned: the first level, from profile's minimum look-ahead on, whose
+    relative change is below the tolerance, or r_cap when none is. k_eps is
+    the first accuracy within the tolerance of a_star, or the accuracy cap.
     """
 
     trunc_values: np.ndarray
@@ -87,8 +89,13 @@ def profile(value_fn, eps: float = 1e-8, r_explore: int = R_EXPLORE,
 
     Differences are taken relative to the running value so targets of any
     magnitude (single transition probabilities or long products) profile the
-    same way. The level scan runs at least r_explore evaluations and at most
-    r_cap; the accuracy scan walks from K_START until within eps of the
+    same way. The level scan stops at the first level, from r_explore - 1
+    on, whose relative change is below eps, and that level is r_eps.
+    r_explore is only a minimum look-ahead: levels 0..r_explore-1 are always
+    scanned, so a target that does not move at its first levels is not taken
+    as converged there. The scan covers at most levels 0..r_cap, which is
+    r_cap + 1 evaluations, and r_eps is r_cap when none of them converges.
+    The accuracy scan walks from K_START at r_eps until within eps of the
     converged value, capped at the accuracy ceiling.
     """
     k_high = min(-math.log10(eps), ACCURACY_CAP)
@@ -290,16 +297,20 @@ def tune_estimator(estimator: LikelihoodEstimator, theta, p_min: float = 0.9,
     p_min); pass the list returned via TunedConfig.profiles of a prior call.
     """
     theta = estimator.net.validate_theta(theta)
-    seqs, laws, tuned_profiles = [], [], []
     # targets sharing a ladder assemble each of its levels once
     mat_cache: dict = {}
+    # IA targets with equal (x_from, x_to, dt) share a ladder and a plan, so
+    # their values, and hence their tuning, are equal: tune the first of
+    # them and reuse the result
+    by_obs: dict = {}
+    tuned = []
     for j, key in enumerate(estimator.targets):
-        f = estimator.value_fn(theta, key, mat_cache=mat_cache)
-        prof = profiles[j] if profiles else None
-        seq, law, prof = _tune_target(f, p_min, eps, prof)
-        seqs.append(seq)
-        laws.append(law)
-        tuned_profiles.append(prof)
+        obs = None if key is None else estimator.observations[key]
+        if obs not in by_obs:
+            f = estimator.value_fn(theta, key, mat_cache=mat_cache)
+            by_obs[obs] = _tune_target(f, p_min, eps, profiles[j] if profiles else None)
+        tuned.append(by_obs[obs])
+    seqs, laws, tuned_profiles = (list(col) for col in zip(*tuned))
     if estimator.mode == "ra":
         fields = {"sequence": seqs[0], "law": laws[0]}
     else:

@@ -279,6 +279,15 @@ def test_joint_sequence_rejects_negative_offsets_and_bad_slopes(fields):
     assert JointSequence(trunc_offset=0, slope=0.0).level(2) == 2
 
 
+@pytest.mark.parametrize("level", [1.5, 3.0])
+def test_joint_sequence_says_the_level_must_be_an_integer(level):
+    with pytest.raises(ValueError, match=re.escape(
+            f"JointSequence(trunc_offset={level!r}, acc_offset=4.0, slope=0.1) "
+            "needs trunc_offset >= 0 of an integer type (a float, even 3.0, "
+            "is refused)")):
+        JointSequence(trunc_offset=level)
+
+
 def test_joint_sequence_takes_python_and_numpy_integer_levels():
     for level in (3, np.int64(3), np.int32(3), np.uint8(3)):
         assert JointSequence(trunc_offset=level).level(1) == 4

@@ -99,6 +99,14 @@ def test_profile_explores_at_least_the_requested_levels():
     assert prof.trunc_values.size == 12
 
 
+def test_profile_stops_at_the_converged_level():
+    # relative changes 1, 1e-2, 1e-4, 1e-6, 1e-8 - 1e-10: level 4 is the
+    # first below eps, and the default look-ahead must not scan past it
+    prof = profile(lambda r, k: 1.0 - 0.01 ** (r + 1))
+    assert prof.r_eps == 4
+    assert prof.trunc_values.size == 5
+
+
 @pytest.mark.parametrize("value", [0.0, 1e-320])
 def test_profile_refuses_an_underflowed_target(value):
     # an RA target is exp(log L); past log L of about -708 it reads 0 or a
@@ -387,6 +395,52 @@ def test_ia_tuning_assembles_each_ladder_level_once(monkeypatch):
         single = tune_estimator(alone, theta, p_min=0.9)
         assert (single.sequences[0], single.laws[0]) == (tuned.sequences[i],
                                                          tuned.laws[i])
+
+
+def _tuning_evaluations(monkeypatch, est, theta):
+    """Tune est at theta; returns the config and the value_fn evaluations,
+    counted by (x_from, x_to, dt, r, k)."""
+    calls = collections.Counter()
+    value_fn = LikelihoodEstimator.value_fn
+
+    def counted_value_fn(self, theta, key=None, *args, **kwargs):
+        f = value_fn(self, theta, key, *args, **kwargs)
+
+        def g(r, k):
+            calls[(*self.observations[key], r, float(k))] += 1
+            return f(r, k)
+        return g
+
+    with monkeypatch.context() as patched:
+        patched.setattr(LikelihoodEstimator, "value_fn", counted_value_fn)
+        return tune_estimator(est, theta, p_min=0.9), calls
+
+
+def test_ia_tuning_tunes_each_distinct_transition_once(monkeypatch):
+    # transitions 2->1, 1->0, 0->1, 1->0, 0->1, 1->0 at equal steps: three
+    # distinct triples
+    theta = np.array([0.8, 0.6])
+    net = builtin_model("mmc", c=1)
+
+    def ia(rows):
+        data = Dataset(np.arange(float(len(rows))), np.asarray(rows), model="mmc")
+        return LikelihoodEstimator(net, data, EstimatorConfig(mode="ia"))
+
+    est = ia([2, 1, 0, 1, 0, 1, 0])
+    tuned, calls = _tuning_evaluations(monkeypatch, est, theta)
+    first = {}
+    for i, obs in enumerate(est.observations):
+        j = first.setdefault(obs, i)
+        assert (tuned.sequences[i], tuned.laws[i]) == (tuned.sequences[j], tuned.laws[j])
+        assert tuned.profiles[i] is tuned.profiles[j]
+    # the same evaluations as tuning the distinct transitions alone
+    tuned_alone, calls_alone = _tuning_evaluations(monkeypatch, ia([2, 1, 0, 1]), theta)
+    assert calls == calls_alone
+    assert tuned.sequences[:3] == tuned_alone.sequences
+    assert tuned.laws[:3] == tuned_alone.laws
+    # reusing the profiles gives the same tuning
+    again = tune_estimator(est, theta, p_min=0.9, profiles=tuned.profiles)
+    assert (again.sequences, again.laws) == (tuned.sequences, tuned.laws)
 
 
 def test_tuned_sequences_actually_start_near_convergence():
