@@ -23,6 +23,7 @@ import numpy as np
 
 from .datasets import Dataset
 from .expm import (
+    SharedUniformized,
     _check_q_bar,
     rows_action,
     select_s_skeletoid,
@@ -34,6 +35,7 @@ from .statespace import (
     assemble,
     merge,
     ra_rule_of_thumb,
+    restriction_map,
     seed_truncation,
 )
 
@@ -273,9 +275,52 @@ class EstimatorConfig:
                 )
 
 
-# one queued (truncation level r, accuracy k) evaluation of a target; its
-# blocks start at index first of the call's rows_action results
-_Evaluation = collections.namedtuple("_Evaluation", "r k first")
+# one queued (truncation level r, accuracy k) evaluation of a target; slots
+# holds, per dt group of its plan, the index of its block among the call's
+# rows_action results
+_Evaluation = collections.namedtuple("_Evaluation", "r k slots")
+
+
+class _Source:
+    """One assembled matrix and every level a call takes from it.
+
+    A level of the matrix's own ladder is its leading block, as an RA call
+    has always taken it. A level of another ladder is its restriction: for
+    uniformization, when it can be, only its diagonal's minimum and its
+    block of the matrix's one P (built on first use); else its entries.
+    Each level's (smallest diagonal entry, rows_action operand) is kept by
+    id(truncation).
+    """
+
+    def __init__(self, ladder, matrix, q_bar):
+        self.ladder, self.matrix, self.q_bar = ladder, matrix, q_bar
+        self.shared = None
+        self._on: dict = {}
+
+    def on(self, ladder, trunc) -> tuple:
+        """(smallest diagonal entry, rows_action operand) on trunc, a level
+        of ladder."""
+        got = self._on.get(id(trunc))
+        if got is None:
+            got = self._on[id(trunc)] = self._restricted(ladder, trunc)
+        return got
+
+    def _restricted(self, ladder, trunc) -> tuple:
+        source = self.matrix
+        if trunc is source.truncation:
+            matrix = source
+        elif ladder is self.ladder:
+            matrix = source.leading_block(trunc)
+        else:
+            if self.q_bar is not None:
+                if self.shared is None:
+                    self.shared = SharedUniformized(source, self.q_bar)
+                index, _ = restriction_map(source.truncation, trunc)
+                block = self.shared.block(index)
+                if block is not None:
+                    return float(source.diag[index].min()), block
+            matrix = source.restrict(trunc)
+        return matrix.q_bar, matrix
 
 
 def _observation_plan(base, obs_list) -> list:
@@ -305,11 +350,12 @@ class LikelihoodEstimator:
 
     Holds one lazily grown truncation ladder per distinct seed truncation
     plus the merged ladder. What does not depend on theta is computed once:
-    each truncation caches its assembly stencil, and each target its
-    observation plan (row indices and dt groups). Assembled matrices are
-    kept only within one call, since theta changes every sampler iteration;
-    a telescope draw assembles its top level and takes the lower ones as
-    leading blocks.
+    each truncation caches its assembly stencil and its index maps into the
+    truncations it is restricted from, and each target its observation plan
+    (row indices and dt groups). Assembled matrices are kept only within one
+    call, since theta changes every sampler iteration; a call assembles the
+    merged ladder once, at the highest level any of its points needs, and
+    every target takes each of its levels as a restriction of that matrix.
     Each mode is a list of targets, each one telescoped independently: RA
     has the single merged target, IA one target per observation.
     """
@@ -382,74 +428,110 @@ class LikelihoodEstimator:
     # request per dt group of each (level, accuracy) point, serves them all
     # with one rows_action call, and _log_value reads each point's blocks.
 
-    def _queue(self, trmat, obs_plan, r: int, k: float,
-               requests: tuple) -> _Evaluation:
-        """Queue one evaluation's requests on trmat, one per dt group, onto
-        the call's (Q, t, s, rows) lists; returns its record.
+    def _queue(self, source: _Source, ladder, obs_plan, r: int, k: float,
+               requests: tuple, queued: dict) -> _Evaluation:
+        """Queue one evaluation's requests on the source's matrix at level r
+        of ladder, one per dt group, onto the call's (Q, t, s, rows) lists;
+        returns its record.
 
-        Each request is checked as rows_action will check it, so a failing
+        A request equal in (truncation, dt, s, rows) to one queued already
+        is not queued again: the evaluation takes that request's block. The
+        matrix is checked as rows_action would check it, so a failing
         evaluation raises here, not inside the call that serves them all.
         """
         eps = 10.0 ** (-float(k))
         q_bar = self.config.q_bar_global
         skeletoid = self.config.method == "skeletoid"
         Qs, ts, ss, rows_lists = requests
-        ev = _Evaluation(r, k, len(Qs))
+        trunc = ladder.level(r)
+        smallest, operand = source.on(ladder, trunc)
+        if not skeletoid:
+            # the q_bar check, on this target's own diagonal
+            _check_q_bar(smallest, q_bar)
+        slots = []
         for dt, rows, _, _ in obs_plan:
             if skeletoid:
-                s = select_s_skeletoid(trmat.q_bar * dt, eps)
+                s = select_s_skeletoid(smallest * dt, eps)
             else:
                 s = select_s_uniformization(-q_bar * dt, eps)
-                _check_q_bar(trmat.q_bar, q_bar)
-            Qs.append(trmat)
-            ts.append(dt)
-            ss.append(s)
-            rows_lists.append(rows)
-        return ev
+            key = (id(trunc), dt, s, rows.tobytes())
+            if key not in queued:
+                queued[key] = len(Qs)
+                Qs.append(operand)
+                ts.append(dt)
+                ss.append(s)
+                rows_lists.append(rows)
+            slots.append(queued[key])
+        return _Evaluation(r, k, slots)
 
     def _log_value(self, obs_plan, ev: _Evaluation, blocks: list) -> float:
         """log of the product of one evaluation's approximate transition
         probabilities."""
         total = 0.0
-        for g, (_, _, js, dsts) in enumerate(obs_plan):
-            for p in blocks[ev.first + g][js, dsts].tolist():
+        for slot, (_, _, js, dsts) in zip(ev.slots, obs_plan):
+            for p in blocks[slot][js, dsts].tolist():
                 # exact values are nonnegative; rounding may leave a tiny
                 # negative at structural zeros
                 p = max(p, 0.0)
                 total += math.log(p) if p > 0.0 else -math.inf
         return total
 
+    def _source(self, ladder, r: int, theta, mat_cache: dict) -> _Source:
+        """The source assembled on level r of ladder, kept in mat_cache by
+        id(truncation)."""
+        trunc = ladder.level(r)
+        source = mat_cache.get(id(trunc))
+        if source is None:
+            q_bar = None if self.config.method == "skeletoid" else self.config.q_bar_global
+            source = _Source(ladder, assemble(self.net, trunc, theta), q_bar)
+            mat_cache[id(trunc)] = source
+        return source
+
     def _evaluate(self, theta, telescopes: list, mat_cache: dict,
                   meter=None) -> list:
         """Log values of every telescope's (r, k) points, from one rows_action
         call.
 
-        telescopes lists (target key, [(r, k), ...]) pairs. Each telescope
-        assembles its highest level once per call and ladder (mat_cache maps
-        id(ladder) to its matrices by level) and takes its lower levels as
-        leading blocks. Returns each telescope's values in the order of its
-        points; a point that could not be planned holds the exception that
-        stopped it, for the caller to raise where its lazy order reaches it.
+        telescopes lists (target key, [(r, k), ...]) pairs. The call
+        assembles one matrix: the merged ladder at the highest level any
+        point needs. The merged level r holds every observation ladder's
+        level r, and a state's rates do not depend on the truncation, so
+        every target's matrix at every level is a theta-free restriction of
+        it, and for uniformization a block of its one P. Only when that
+        assembly raises is each telescope's highest level assembled on its
+        own, as the source of its lower levels, so a failure at a state no
+        target holds raises nowhere. mat_cache maps id(truncation) to each
+        assembled source; value functions at one theta may share it.
+        Returns each telescope's values in the order of its points; a point
+        that could not be planned holds the exception that stopped it, for
+        the caller to raise where its lazy order reaches it.
         """
+        top = max(r for _, points in telescopes for r, _ in points)
+        try:
+            merged = self._source(self.merged_ladder, top, theta, mat_cache)
+        except Exception:
+            # each telescope assembles its own top level below, and raises
+            # there if that fails too
+            merged = None
         requests: tuple = ([], [], [], [])
+        queued: dict = {}
         planned = []
         for key, points in telescopes:
             ladder = self.merged_ladder if key is None else self.obs_ladders[key]
-            obs_plan, top = self._plans[key], max(r for r, _ in points)
-            mats = mat_cache.setdefault(id(ladder), {})
-            if top not in mats:
+            obs_plan, source = self._plans[key], merged
+            if source is None:
                 try:
-                    mats[top] = assemble(self.net, ladder.level(top), theta)
+                    source = self._source(ladder, max(r for r, _ in points), theta,
+                                          mat_cache)
                 except Exception as exc:
                     # the telescope raises it at its first point
                     planned.append((obs_plan, [exc] * len(points)))
                     continue
             evals = []
             for r, k in points:
-                if r not in mats:
-                    mats[r] = mats[top].leading_block(ladder.level(r))
                 try:
-                    evals.append(self._queue(mats[r], obs_plan, r, k, requests))
+                    evals.append(self._queue(source, ladder, obs_plan, r, k,
+                                             requests, queued))
                 except Exception as exc:
                     evals.append(exc)
             planned.append((obs_plan, evals))
@@ -510,7 +592,7 @@ class LikelihoodEstimator:
         obs_index is a target key: one observation's transition probability,
         or None for the product over all observations on the merged
         truncation. Value functions at one theta may share mat_cache, so
-        targets on one ladder assemble each level once.
+        every target restricts its levels from one merged matrix per level.
         """
         theta = self.net.validate_theta(theta)
         if mat_cache is None:

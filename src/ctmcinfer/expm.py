@@ -20,7 +20,9 @@ dominates many small truncations.
 
 Every input (a TruncatedRateMatrix, an ndarray or a scipy sparse matrix) is
 read as its nonzero off-diagonal rates and its diagonal; only the
-uniformization operand P has a storage choice, dense or CSR.
+uniformization operand P has a storage choice, dense or CSR. Requests on
+restrictions of one matrix can share its P (SharedUniformized): each then
+takes the block of P at its states, which equals its own P bit for bit.
 
 Once a skeletoid squaring underflows, entries below 2^-511 are zeroed after
 it and after each later squaring until a pass finds none, so no squaring
@@ -342,8 +344,11 @@ def _dense_uniformized(Q: _Entries) -> bool:
     return b <= DENSE_LIMIT or Q.rates.size + b > _CSR_MAX_FILL * b * b
 
 
-def _uniformized(Q: _Entries):
-    """P = I + Q/(-q_bar), dense or CSR as _dense_uniformized says."""
+def _uniformized(Q):
+    """P = I + Q/(-q_bar), dense or CSR as _dense_uniformized says; for a
+    UniformizedBlock, its block of the shared P."""
+    if isinstance(Q, UniformizedBlock):
+        return Q.P[Q.index[:, None], Q.index]
     b, scale = Q.diag.size, -Q.q_bar
     if _dense_uniformized(Q):
         P = np.diag(1.0 + Q.diag / scale)
@@ -354,6 +359,37 @@ def _uniformized(Q: _Entries):
            (np.concatenate([Q.rows, idx]), np.concatenate([Q.cols, idx])))
     mat = sp.csr_matrix(coo, shape=(b, b))
     return (sp.eye(b, format="csr") + mat.multiply(1.0 / scale)).tocsr()
+
+
+# A uniformization request's operand that shares one P: the block of a dense
+# P = I + Q/(-q_bar) at index, rows and columns alike, for Q restricted to
+# those states. rows_action gathers it when the request runs, and leaves the
+# check of q_bar against the restricted diagonal to whoever made the block.
+UniformizedBlock = collections.namedtuple("UniformizedBlock", "P index q_bar")
+
+
+class SharedUniformized:
+    """One matrix's P = I + Q/(-q_bar), built once for the requests on its
+    restrictions.
+
+    block(index) is the operand of a request on the matrix restricted to its
+    states at index: the UniformizedBlock of P there when P is dense and the
+    restriction holds at most DENSE_LIMIT states, so that its own P would be
+    dense too; else None, and the request takes the restricted matrix. P's
+    entries are computed elementwise, and a restriction keeps every entry
+    and diagonal of its states, so the block equals the restriction's own P
+    bit for bit.
+    """
+
+    def __init__(self, Q, q_bar: float):
+        Q = _parts(Q, q_bar)
+        self.q_bar = Q.q_bar
+        self.P = _uniformized(Q) if _dense_uniformized(Q) else None
+
+    def block(self, index: np.ndarray):
+        if self.P is None or index.size > DENSE_LIMIT:
+            return None
+        return UniformizedBlock(self.P, index, self.q_bar)
 
 
 def uniformization(Q, t: float, s: int, meter: FlopMeter | None = None,
@@ -386,7 +422,9 @@ def rows_action(method: str, Q, t, s, rows,
     same total. Every request is validated, in list order, before any
     arithmetic. Skeletoid requests run one after another; uniformization
     requests with equal state and row counts and a dense P run as one
-    stacked series (_stacked_series), any other one alone (_series).
+    stacked series (_stacked_series), any other one alone (_series). A
+    uniformization request's Q may be a UniformizedBlock, which carries its
+    own q_bar and is taken as checked.
     """
     if not isinstance(Q, list):
         return rows_action(method, [Q], [t], [s], [rows], meter, q_bar)[0]
@@ -401,12 +439,13 @@ def rows_action(method: str, Q, t, s, rows,
     blocks = [None] * len(requests)
     groups: dict = {}
     for i, (Q, _, _, rows) in enumerate(requests):
-        b = Q.diag.size
+        b = _states(Q)
         if Q.q_bar == 0.0:
             blocks[i] = np.eye(b)[rows]
             continue
+        dense = isinstance(Q, UniformizedBlock) or _dense_uniformized(Q)
         # a CSR P runs alone; requests are never padded to a common b
-        groups.setdefault((b, rows.size) if _dense_uniformized(Q) else i, []).append(i)
+        groups.setdefault((b, rows.size) if dense else i, []).append(i)
     for members in groups.values():
         if len(members) == 1:
             blocks[members[0]] = _series(*requests[members[0]], meter)
@@ -418,21 +457,30 @@ def rows_action(method: str, Q, t, s, rows,
 
 
 def _request(method: str, Q, t: float, s: int, rows, q_bar) -> tuple:
-    """One rows_action request, validated: (entries, t, s, rows)."""
-    Q = _parts(Q, q_bar)
+    """One rows_action request, validated: (entries or block, t, s, rows)."""
+    block = isinstance(Q, UniformizedBlock)
+    if block and method != "uniformization":
+        raise ValueError("a UniformizedBlock is a uniformization operand")
+    if not block:
+        Q = _parts(Q, q_bar)
     rows = np.asarray(rows, dtype=np.int64)
     if rows.ndim != 1 or rows.size == 0:
         raise ValueError("rows must be a nonempty 1-D index list")
     # on the few rows of a request, Python's min and max cost less than two
     # numpy reductions
     listed = rows.tolist()
-    if min(listed) < 0 or max(listed) >= Q.diag.size:
+    if min(listed) < 0 or max(listed) >= _states(Q):
         raise ValueError("row index out of range")
     if s < 0:
         raise ValueError("s must be nonnegative")
-    if method == "uniformization":
+    if method == "uniformization" and not block:
         _check_q_bar(Q.diag.min(), Q.q_bar)
     return Q, t, s, rows
+
+
+def _states(Q) -> int:
+    """The state count of a validated request's entries or block."""
+    return Q.index.size if isinstance(Q, UniformizedBlock) else Q.diag.size
 
 
 def _skeletoid_rows(Q: _Entries, t: float, s: int, rows: np.ndarray,
@@ -461,7 +509,7 @@ def _series(Q: _Entries, t: float, s: int, rows: np.ndarray,
     CSR P: on one block, ndarray.dot costs less per term than a matmul
     over a stack of one.
     """
-    b, m = Q.diag.size, rows.size
+    b, m = _states(Q), rows.size
     P = _uniformized(Q)
     dense = isinstance(P, np.ndarray)
     weights, rescales, anchor = _poisson_schedule(-Q.q_bar * t, s)
@@ -499,8 +547,8 @@ def _stacked_series(requests: list, meter: FlopMeter | None) -> list:
     order = sorted(range(len(requests)), key=lambda i: -requests[i][2])
     ranked = [requests[i] for i in order]
     T, (Q0, _, top, rows0) = len(ranked), ranked[0]
-    b, m = Q0.diag.size, rows0.size
-    Ps = np.stack([_uniformized(Q) for Q, _, _, _ in ranked])
+    b, m = _states(Q0), rows0.size
+    Ps = _stacked_uniformized([Q for Q, _, _, _ in ranked])
     block = np.zeros((T, m, b))
     # weights[n, j] is request j's term-n weight; factors[n][j] its rescale
     weights = np.zeros((top + 1, T, 1, 1))
@@ -530,6 +578,16 @@ def _stacked_series(requests: list, meter: FlopMeter | None) -> list:
     for j, i in enumerate(order):
         out[i] = acc[j] * math.exp(anchors[j])
     return out
+
+
+def _stacked_uniformized(Qs: list) -> np.ndarray:
+    """The (T, b, b) stack of the requests' dense P matrices; blocks of one
+    shared P are gathered from it in one indexing step."""
+    P = Qs[0].P if isinstance(Qs[0], UniformizedBlock) else None
+    if all(isinstance(Q, UniformizedBlock) and Q.P is P for Q in Qs):
+        index = np.stack([Q.index for Q in Qs])
+        return P[index[:, :, None], index[:, None, :]]
+    return np.stack([_uniformized(Q) for Q in Qs])
 
 
 def computable_error(rows_block: np.ndarray) -> float:

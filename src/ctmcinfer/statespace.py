@@ -8,6 +8,7 @@ each row may leak mass (its conservativeness deficit) through dropped targets.
 
 from __future__ import annotations
 
+import functools
 import threading
 from dataclasses import dataclass, field
 
@@ -297,9 +298,10 @@ class TruncatedRateMatrix:
     rows, cols and rates hold the kept off-diagonal rates, channel after
     channel in assembly order; every (row, col) pair is distinct and off the
     diagonal. diag holds each state's full-lattice diagonal. Both derived
-    fields follow from these: deficit[i] >= 0 is the rate mass row i loses
-    to dropped targets, and q_bar is the most negative diagonal entry (so
-    -q_bar bounds every exit rate). to_dense() builds the b x b matrix.
+    values follow from these: deficit[i] >= 0 is the rate mass row i loses
+    to dropped targets (computed on first read), and q_bar is the most
+    negative diagonal entry (so -q_bar bounds every exit rate). to_dense()
+    builds the b x b matrix.
     """
 
     truncation: Truncation
@@ -307,16 +309,19 @@ class TruncatedRateMatrix:
     cols: np.ndarray
     rates: np.ndarray
     diag: np.ndarray
-    deficit: np.ndarray = field(init=False)
     q_bar: float = field(init=False)
 
     def __post_init__(self):
-        # bincount adds each row's kept rates in entry order, that is channel
-        # order, so a leading block's deficit equals its assembly's
+        self.q_bar = float(self.diag.min())
+
+    @functools.cached_property
+    def deficit(self) -> np.ndarray:
+        # bincount adds each row's kept rates in entry order, which within a
+        # row is channel order, so a restriction's deficit equals its
+        # assembly's
         kept = np.bincount(self.rows, weights=self.rates, minlength=len(self.truncation))
         # clamp tiny negative deficits from float cancellation
-        self.deficit = np.maximum(-self.diag - kept, 0.0)
-        self.q_bar = float(self.diag.min())
+        return np.maximum(-self.diag - kept, 0.0)
 
     def to_dense(self) -> np.ndarray:
         Q = np.diag(self.diag)
@@ -324,18 +329,54 @@ class TruncatedRateMatrix:
         return Q
 
     def leading_block(self, trunc: Truncation) -> "TruncatedRateMatrix":
-        """What assemble builds on trunc, a prefix of this truncation.
-
-        A state's rates do not depend on the truncation, so the block keeps
-        this diagonal and, in their order, the entries whose row and target
-        both lie in the prefix, which makes the result equal bit for bit.
-        """
-        b = len(trunc)
-        if self.truncation.states[:b] != trunc.states:
+        """What assemble builds on trunc, a prefix of this truncation: its
+        restriction, entries in the order assemble gives them."""
+        if self.truncation.states[:len(trunc)] != trunc.states:
             raise ValueError("the truncation is not a prefix of this one")
-        keep = (self.rows < b) & (self.cols < b)
-        return TruncatedRateMatrix(trunc, self.rows[keep], self.cols[keep],
-                                   self.rates[keep], self.diag[:b].copy())
+        return self.restrict(trunc)
+
+    def restrict(self, trunc: Truncation) -> "TruncatedRateMatrix":
+        """What assemble builds on trunc, whose states all lie in this
+        truncation.
+
+        A state's rates do not depend on the truncation, so the restriction
+        gathers each state's diagonal and keeps, in their order, the entries
+        whose row and target both lie in trunc. Within a row that is channel
+        order, as in assemble, so every entry, the diagonal, the deficit and
+        q_bar equal assemble's bit for bit; only the order of the rows in
+        the entry arrays may differ, and on a prefix it does not.
+        """
+        index, position = restriction_map(self.truncation, trunc)
+        rows, cols = position[self.rows], position[self.cols]
+        # -1 marks a state outside trunc; an or of two indices is negative
+        # exactly when one of them is
+        keep = (rows | cols) >= 0
+        return TruncatedRateMatrix(trunc, rows[keep], cols[keep], self.rates[keep],
+                                   self.diag[index])
+
+
+def restriction_map(source: Truncation, trunc: Truncation) -> tuple:
+    """(index, position) of trunc within source, theta-free.
+
+    index[i] is the source index of trunc's state i; position[j] is trunc's
+    index of source state j, or -1 when trunc does not hold it. Cached on
+    trunc per source; as with the stencil, two threads may both build a map
+    and either result is kept.
+    """
+    maps = getattr(trunc, "_maps", None)
+    if maps is None:
+        maps = {}
+        object.__setattr__(trunc, "_maps", maps)
+    cached = maps.get(id(source))
+    if cached is None or cached[0] is not source:
+        try:
+            index = np.array([source._index[s] for s in trunc.states], dtype=np.int64)
+        except KeyError:
+            raise ValueError("the truncation holds a state outside this one") from None
+        position = np.full(len(source), -1, dtype=np.int64)
+        position[index] = np.arange(len(trunc))
+        cached = maps[id(source)] = (source, index, position)
+    return cached[1], cached[2]
 
 
 class _Stencil:

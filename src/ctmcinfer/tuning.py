@@ -297,7 +297,7 @@ def tune_estimator(estimator: LikelihoodEstimator, theta, p_min: float = 0.9,
     p_min); pass the list returned via TunedConfig.profiles of a prior call.
     """
     theta = estimator.net.validate_theta(theta)
-    # targets sharing a ladder assemble each of its levels once
+    # every target takes its levels from one merged matrix per level
     mat_cache: dict = {}
     # IA targets with equal (x_from, x_to, dt) share a ladder and a plan, so
     # their values, and hence their tuning, are equal: tune the first of

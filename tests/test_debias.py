@@ -31,6 +31,7 @@ from ctmcinfer import (
     stable_log_combine,
 )
 from ctmcinfer import debias, statespace
+from ctmcinfer.expm import select_s_skeletoid, select_s_uniformization
 
 
 # ---------------------------------------------------------------------------
@@ -497,13 +498,15 @@ def test_estimates_assemble_from_cached_stencils(monkeypatch):
     assert len({id(tr) for tr in built}) == len(built)
 
 
-def _test09_queue_estimator(mode):
+def _test09_queue_estimator(mode, method="skeletoid"):
     net = builtin_model("mmc", c=2)
     rng = np.random.default_rng(1000)
     data = sample_dataset(net, np.array([1.5, 1.0]), (0,), np.arange(31.0), rng,
                           seed=1000)
+    q_bar = None if method == "skeletoid" else -20.0
     return LikelihoodEstimator(net, data, EstimatorConfig(
-        mode=mode, sequence=JointSequence(2, 6.0, 0.5), law=GeometricLaw(0.5)))
+        mode=mode, method=method, q_bar_global=q_bar,
+        sequence=JointSequence(2, 6.0, 0.5), law=GeometricLaw(0.5)))
 
 
 def test_each_target_assembles_once_per_estimate(monkeypatch):
@@ -523,10 +526,71 @@ def test_each_target_assembles_once_per_estimate(monkeypatch):
     assert len(assembled) == 50
 
 
+@pytest.mark.parametrize("method", ["skeletoid", "uniformization_global"])
+def test_an_ia_call_assembles_once(monkeypatch, method):
+    # every target's levels are restrictions of the call's one matrix, the
+    # merged ladder at the highest level the call needs
+    est = _test09_queue_estimator("ia", method)
+    assert len(est.targets) == 30
+    assembled = []
+
+    def counted(net, trunc, theta):
+        assembled.append(trunc)
+        return assemble(net, trunc, theta)
+
+    monkeypatch.setattr(debias, "assemble", counted)
+    rng = np.random.default_rng(5)
+    estimates = [est.log_estimate([1.4, 1.1], rng) for _ in range(50)]
+    assert all(math.isfinite(v) for v in estimates)
+    assert len(assembled) == 50
+    assert math.isfinite(est.deterministic_log_likelihood([1.4, 1.1], 4, 8.0))
+    assert len(assembled) == 51
+    assert assembled[-1] is est.merged_ladder.level(4)
+
+
+@pytest.mark.parametrize("method", ["skeletoid", "uniformization_global"])
+def test_equal_requests_run_once(monkeypatch, method):
+    # rows_action serves one request per distinct (ladder, level, dt, s,
+    # rows) of the targets' telescope points, worked out here from the draws
+    est = _test09_queue_estimator("ia", method)
+    theta = np.array([1.4, 1.1])
+    served = []
+    real = debias.rows_action
+
+    def counted(method_, Q, t, s, rows, meter=None, q_bar=None):
+        served.append(len(Q))
+        return real(method_, Q, t, s, rows, meter, q_bar)
+
+    monkeypatch.setattr(debias, "rows_action", counted)
+    rng, replay = np.random.default_rng(5), np.random.default_rng(5)
+    distinct = []
+    for _ in range(50):
+        assert math.isfinite(est.log_estimate(theta, rng))
+        keys = set()
+        for key in est.targets:
+            n, seq = est.law_for(key).sample(replay), est.sequence_for(key)
+            ladder = est.obs_ladders[key]
+            for i in (0, n, n + 1):
+                r, eps = seq.level(i), 10.0 ** -seq.accuracy(i)
+                for dt, rows, _, _ in est._plans[key]:
+                    if method == "skeletoid":
+                        q_bar = assemble(est.net, ladder.level(r), theta).q_bar
+                        s = select_s_skeletoid(q_bar * dt, eps)
+                    else:
+                        s = select_s_uniformization(20.0 * dt, eps)
+                    keys.add((id(ladder), r, dt, s, tuple(rows.tolist())))
+        distinct.append(len(keys))
+    assert served == distinct
+    assert sum(distinct) < 50 * 3 * len(est.targets)
+
+
+@pytest.mark.parametrize("method", ["skeletoid", "uniformization_global"])
 @pytest.mark.parametrize("mode", ["ra", "ia"])
-def test_leading_blocks_leave_estimates_unchanged(monkeypatch, mode):
-    # the same draws with every level assembled on its own truncation
-    est = _test09_queue_estimator(mode)
+def test_leading_blocks_leave_estimates_unchanged(monkeypatch, mode, method):
+    # the same draws with every level assembled on its own truncation: in RA
+    # in place of the leading blocks, in IA in place of each level's
+    # restriction of the call's merged matrix (and block of its P)
+    est = _test09_queue_estimator(mode, method)
     thetas = [np.array([1.4, 1.1]), np.array([1.6, 0.9])]
     rng = np.random.default_rng(9)
     got = [est.log_estimate(thetas[i % 2], rng) for i in range(20)]
@@ -537,8 +601,15 @@ def test_leading_blocks_leave_estimates_unchanged(monkeypatch, mode):
         calls.append(trunc)
         return assemble(est.net, trunc, current["theta"])
 
-    monkeypatch.setattr(statespace.TruncatedRateMatrix, "leading_block",
-                        assembled_instead)
+    def level_assembled_instead(self, ladder, trunc):
+        matrix = assembled_instead(self, trunc)
+        return matrix.q_bar, matrix
+
+    if mode == "ra":
+        monkeypatch.setattr(statespace.TruncatedRateMatrix, "leading_block",
+                            assembled_instead)
+    else:
+        monkeypatch.setattr(debias._Source, "on", level_assembled_instead)
     rng = np.random.default_rng(9)
     want = []
     for i in range(20):

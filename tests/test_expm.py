@@ -556,6 +556,34 @@ def test_skeletoid_request_lists_equal_their_single_calls(reqs):
     assert meter.flops == single_flops
 
 
+def test_blocks_of_one_shared_p_equal_their_restrictions_own_requests():
+    # an IA call hands each target level the block of the merged matrix's P
+    # at its states, in any order: stacked or alone, each block's rows equal
+    # those of its restriction's own request, and the meter counts the same
+    source = _queue_matrix(20, 0)
+    q_bar = 1.25 * source.q_bar
+    shared = expm.SharedUniformized(source, q_bar)
+    rng = np.random.default_rng(4)
+    blocks, subs = [], []
+    for b in (6, 6, 6, 9):
+        index = rng.permutation(20)[:b]
+        subs.append(source.restrict(
+            Truncation(tuple(source.truncation.states[i] for i in index))))
+        blocks.append(shared.block(index))
+    t, s, rows = [0.5, 1.0, 0.5, 0.7], [12, 30, 0, 25], [[1], [0], [5], [2]]
+    meter, want_meter = FlopMeter(), FlopMeter()
+    got = rows_action("uniformization", blocks, t, s, rows, meter)
+    for block, sub, ti, si, ri in zip(got, subs, t, s, rows):
+        want = rows_action("uniformization", sub, ti, si, ri, want_meter, q_bar)
+        assert np.array_equal(block, want)
+    assert meter.flops == want_meter.flops
+    # a CSR P is not shared: past DENSE_LIMIT states its blocks would be
+    # dense, and another formula's
+    assert expm.SharedUniformized(_queue_matrix(600, 0), q_bar).block(np.arange(6)) is None
+    with pytest.raises(ValueError, match="uniformization operand"):
+        rows_action("skeletoid", blocks[0], 0.5, 3, [0])
+
+
 def test_one_q_bar_serves_a_whole_request_list():
     Q = [_queue_matrix(13, 0), _queue_matrix(13, 1), _queue_matrix(5, 0)]
     q_bar = 1.5 * min(m.q_bar for m in Q)

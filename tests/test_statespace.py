@@ -428,6 +428,39 @@ def test_leading_block_equals_assemble_on_the_lower_level(assembly_ladders, data
     assert got.q_bar == want.q_bar
 
 
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_restriction_equals_assemble_on_any_subset(assembly_ladders, data):
+    # an IA target takes each level as a restriction of the call's merged
+    # matrix: any subset of its states, in any order. Entries may list the
+    # rows in another order, but each row's entries, in order, and every
+    # other field are what assemble builds there
+    ladder, top = data.draw(st.sampled_from(assembly_ladders))
+    source = ladder.level(data.draw(st.integers(0, top)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    picked = rng.permutation(len(source))[:rng.integers(1, len(source) + 1)]
+    trunc = Truncation(tuple(source.states[i] for i in picked))
+    theta = data.draw(st.lists(st.floats(0.05, 5.0), min_size=ladder.net.param_dim,
+                               max_size=ladder.net.param_dim))
+    got = assemble(ladder.net, source, theta).restrict(trunc)
+    want = assemble(ladder.net, trunc, theta)
+    assert got.truncation is trunc
+    assert np.array_equal(got.to_dense(), want.to_dense())
+    by_row = [np.argsort(m.rows, kind="stable") for m in (got, want)]
+    for attr in ("rows", "cols", "rates"):
+        assert np.array_equal(getattr(got, attr)[by_row[0]], getattr(want, attr)[by_row[1]])
+    for attr in ("diag", "deficit"):
+        assert np.array_equal(getattr(got, attr), getattr(want, attr))
+    assert got.q_bar == want.q_bar
+
+
+def test_restriction_needs_a_subset():
+    net = builtin_model("mmc", c=1)
+    big = assemble(net, _wide_base(0, 5), [1.0, 2.0])
+    with pytest.raises(ValueError, match="outside this one"):
+        big.restrict(_wide_base(3, 6))
+
+
 def test_ladder_rejects_a_negative_level():
     # Python's negative indexing would hand back the highest level grown
     ladder = TruncationLadder(_wide_base(0, 3), builtin_model("mmc", c=1))

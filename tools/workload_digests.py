@@ -1,14 +1,21 @@
-"""Print one SHA-256 digest per benchmark workload, to check bit-identity.
+"""Print one SHA-256 digest per workload, to check bit-identity.
 
 Usage: python3 tools/workload_digests.py [--root CHECKOUT]
            [--save-setup FILE | --load-setup FILE]
 
+Besides the benchmark workloads it digests `lv4_ia`, defined here with
+`workload.Workload` and not a benchmark workload: the two-species `lv4` data
+from (10, 10), 4 transitions of dt 0.5 and dataset seed 1000, in IA mode with
+the skeletoid, tuned at theta_true with no MAP. No benchmark workload runs
+IA with the skeletoid.
+
 Each digest covers, in order: the tuned config text, theta_MAP and the
 proposal covariance from `perfbench/workload.set_up`; N `log_estimate` values
 at theta_MAP * exp(0.05 z), z ~ default_rng(2), drawn with default_rng(1)
-(N = 150, or 40 for `lv4_ra`); the state of that estimate generator after
-the N draws, so a change in how many random numbers an estimate consumes
-changes the digest; and `deterministic_log_likelihood(theta_MAP, 10, 12.0)`.
+(N = 150, or 40 for `lv4_ra` and 60 for `lv4_ia`); the state of that
+estimate generator after the N draws, so a change in how many random
+numbers an estimate consumes changes the digest; and
+`deterministic_log_likelihood(theta_MAP, 10, 12.0)`.
 Two checkouts with equal digests give the same estimates bit for bit and
 leave the estimate generator in the same state. `--root` points at another
 checkout, whose `src` and `perfbench` are imported instead of this one's, so
@@ -42,8 +49,20 @@ from pathlib import Path
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 os.environ["OMP_NUM_THREADS"] = "1"
 
-DRAWS = {"lv4_ra": 40}
+DRAWS = {"lv4_ra": 40, "lv4_ia": 60}
 DEFAULT_DRAWS = 150
+
+
+def cases(workload) -> dict:
+    """The benchmark workloads by name, then the cases only digested here."""
+    lv4_ia = workload.Workload(
+        name="lv4_ia", model="lv4", model_params={},
+        theta_true=(0.5, 0.025, 0.025, 0.5), x0=(10, 10), transitions=4, dt=0.5,
+        data_seed=1000, mode="ia", method="skeletoid", q_bar_global=None,
+        map_start=None, chain_start="true", n_chains=1, iters_per_second=1.0,
+        tail_percentile=50.0, proposal_sd_frac=0.25,
+    )
+    return {**workload.WORKLOADS, lv4_ia.name: lv4_ia}
 
 
 def set_up(workload, wl, saved: dict | None = None):
@@ -114,7 +133,7 @@ def main(argv=None) -> int:
         ap.error(f"ctmcinfer was imported from {ctmcinfer.__file__}, not {root / 'src'}")
     saved = json.loads(args.load_setup.read_text()) if args.load_setup else None
     records = {}
-    for name, wl in workload.WORKLOADS.items():
+    for name, wl in cases(workload).items():
         estimator, records[name] = set_up(workload, wl, saved)
         print(f"{name} {digest(wl, estimator, records[name])}", flush=True)
     if args.save_setup:
